@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .lindblad import DissipationParams, dissipative_protocol
-from .rounds import charge_discharge_populations, coherence_population
+from .rounds import _mean_ratios
 from .scheduler import run_protocol, sample_protocol, tau_opt_analytic, tau_opt_numeric, tau_opt_power_off
 from .states import (
     BatteryState,
@@ -200,40 +200,18 @@ def write_csv(path: Path, header: list[str], rows) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _single_round_ratio(
-    populations: np.ndarray,
-    charger: ChargerSpec,
-    params: SystemParams,
-    tau: float,
-) -> float:
-    """Mean after one normalized round over the initial mean, via the
-    closed-form population decomposition."""
-    state = BatteryState.diagonal(populations)
-    charge, discharge = charge_discharge_populations(state, charger, params, tau)
-    total = charge + discharge + coherence_population(state, charger, params, tau)
-    prob = total.sum()
-    if prob < 1e-15:
-        return float("nan")
-    levels = np.arange(total.size)
-    before = float(levels @ populations)
-    return float(levels @ total) / prob / before
-
-
 def cmd_sweep_theta_q(config: dict, out: Path) -> None:
     params = _build_params(config)
     sweep = config["sweep"]
     thetas = np.linspace(0.0, math.pi, int(sweep["theta_points"]))
     qs = np.linspace(0.0, 1.0, int(sweep["q_points"]))
-    tau = float(sweep["tau"])
+    c_values = [float(c) for c in sweep["c_values"]]
+    for c in c_values:
+        ChargerSpec(q=0.0, theta=0.0, c=c)  # rejects a coherence outside [0, 1]
+    c, theta, q = (grid.ravel() for grid in np.meshgrid(c_values, thetas, qs, indexing="ij"))
     populations = thermal_state(params).populations
-    rows = []
-    for c in sweep["c_values"]:
-        for theta in thetas:
-            for q in qs:
-                charger = ChargerSpec(q=float(q), theta=float(theta), c=float(c))
-                ratio = _single_round_ratio(populations, charger, params, tau)
-                rows.append((float(theta), float(q), float(c), ratio))
-    write_csv(out, ["theta", "q", "c", "ratio"], rows)
+    ratio = _mean_ratios(populations, params, float(sweep["tau"]), q, theta, c)
+    write_csv(out, ["theta", "q", "c", "ratio"], zip(theta, q, c, ratio))
 
 
 def _prepared_state(params: SystemParams, scheme: str, rounds_done: int, schedule: dict) -> tuple[BatteryState, float]:
@@ -362,48 +340,39 @@ def _write_metadata(trajectory, config: dict, experiment: str, path: Path, attem
         fh.write("\n")
 
 
-def cmd_protocol(config: dict, out: Path, experiment: str) -> None:
+def _protocol_call(config: dict, scheme: str) -> tuple[tuple, dict]:
+    """Positional and keyword arguments of run_protocol for one config."""
     params = _build_params(config)
     schedule = config["schedule"]
-    scheme = experiment if experiment in ("power_on", "power_off") else schedule["scheme"]
-    charger = _build_charger(config) if scheme == "general" else None
+    args = (thermal_state(params), params, scheme, int(schedule["n_rounds"]), schedule["policy"])
     kwargs = dict(
-        charger=charger,
+        charger=_build_charger(config) if scheme == "general" else None,
         fixed_tau=schedule["fixed_tau"],
         x=float(schedule["x"]),
         objective=schedule["objective"],
         tau_max=schedule["tau_max"],
         grid_points=int(schedule["grid_points"]),
     )
+    return args, kwargs
+
+
+def cmd_protocol(config: dict, out: Path, experiment: str) -> None:
+    schedule = config["schedule"]
+    scheme = experiment if experiment in ("power_on", "power_off") else schedule["scheme"]
+    args, kwargs = _protocol_call(config, scheme)
     attempts = None
     if schedule["sampling"]:
-        trajectory, attempts = sample_protocol(
-            thermal_state(params), params, scheme, int(schedule["n_rounds"]),
-            schedule["policy"], seed=int(config["seed"]), **kwargs,
-        )
+        trajectory, attempts = sample_protocol(*args, seed=int(config["seed"]), **kwargs)
     else:
-        trajectory = run_protocol(
-            thermal_state(params), params, scheme, int(schedule["n_rounds"]),
-            schedule["policy"], **kwargs,
-        )
-    write_csv(out, PROTOCOL_HEADER, _trajectory_rows(trajectory, params))
+        trajectory = run_protocol(*args, **kwargs)
+    write_csv(out, PROTOCOL_HEADER, _trajectory_rows(trajectory, trajectory.params))
     _write_histograms(trajectory, schedule["histogram_at"], out.with_name(out.stem + "_hist.csv"))
     _write_metadata(trajectory, config, experiment, out.with_suffix(".json"), attempts)
 
 
 def cmd_histograms(config: dict, out: Path) -> None:
-    params = _build_params(config)
-    schedule = config["schedule"]
-    scheme = schedule["scheme"]
-    trajectory = run_protocol(
-        thermal_state(params), params, scheme, int(schedule["n_rounds"]),
-        schedule["policy"],
-        charger=_build_charger(config) if scheme == "general" else None,
-        fixed_tau=schedule["fixed_tau"], x=float(schedule["x"]),
-        objective=schedule["objective"], tau_max=schedule["tau_max"],
-        grid_points=int(schedule["grid_points"]),
-    )
-    _write_histograms(trajectory, schedule["histogram_at"], out)
+    args, kwargs = _protocol_call(config, config["schedule"]["scheme"])
+    _write_histograms(run_protocol(*args, **kwargs), config["schedule"]["histogram_at"], out)
 
 
 def cmd_lindblad(config: dict, out: Path) -> None:
@@ -424,13 +393,8 @@ def cmd_lindblad(config: dict, out: Path) -> None:
     if scheme == "power_off" or policy == "power_off_compromise":
         # mirror the closed-system compromise schedule so the damped run
         # is directly comparable
-        closed = run_protocol(
-            thermal_state(params), params, "power_off", int(schedule["n_rounds"]),
-            "power_off_compromise", x=float(schedule["x"]),
-            objective=schedule["objective"], tau_max=schedule["tau_max"],
-            grid_points=int(schedule["grid_points"]),
-        )
-        tau_schedule = list(closed.taus())
+        args, kwargs = _protocol_call(config, "power_off")
+        tau_schedule = list(run_protocol(*args[:4], "power_off_compromise", **kwargs).taus())
         policy = "schedule"
         scheme = "power_off"
     trajectory = dissipative_protocol(

@@ -29,9 +29,8 @@ from .propagator import (
     qubit_lowering,
 )
 from .rounds import RoundRecord
-from .scheduler import Trajectory, quarter_period
+from .scheduler import Trajectory, _drive, quarter_period
 from .states import BatteryState, ChargerSpec, SystemParams, mean_occupation, thermal_state
-from .thermo import energy, snapshot
 
 HERMITICITY_ATOL = 1e-10
 TRACE_ATOL = 1e-8
@@ -203,68 +202,36 @@ def dissipative_protocol(
     """
     from .states import POWER_OFF, POWER_ON
 
-    if n_rounds < 1:
-        raise ValueError(f"n_rounds must be >= 1, got {n_rounds}")
-    if scheme == "power_on":
-        qubit_spec = POWER_ON
-    elif scheme == "power_off":
-        qubit_spec = POWER_OFF
-    elif scheme == "general":
-        if charger is None:
-            raise ValueError("the general scheme needs a ChargerSpec")
-        qubit_spec = charger
-    else:
+    qubit_specs = {"power_on": POWER_ON, "power_off": POWER_OFF, "general": charger}
+    if scheme not in qubit_specs:
         raise ValueError(f"unknown scheme {scheme!r}")
-    if interval_policy == "schedule":
+    qubit_spec = qubit_specs[scheme]
+    if qubit_spec is None:
+        raise ValueError("the general scheme needs a ChargerSpec")
+    if interval_policy == "analytic":
+        if scheme != "power_on":
+            raise ValueError("the analytic interval formula applies to the power_on scheme")
+        # mean-based form: damped states may carry coherence dust
+        choose_tau = lambda state, cumulative, m: quarter_period(params, mean_occupation(state))
+    elif interval_policy == "fixed":
+        if fixed_tau is None:
+            raise ValueError("fixed policy needs fixed_tau")
+        choose_tau = lambda state, cumulative, m: fixed_tau
+    elif interval_policy == "schedule":
         if tau_schedule is None or len(tau_schedule) < n_rounds:
             raise ValueError("schedule policy needs a tau per round")
+        choose_tau = lambda state, cumulative, m: float(tau_schedule[m - 1])
+    else:
+        raise ValueError(f"unknown interval policy {interval_policy!r}")
     phi = qubit_spec.measured_state().astype(complex)
     rho_c = qubit_spec.density_matrix()
-    dim = params.dim
 
-    state = initial
-    records: list[RoundRecord] = []
-    cumulative = 1.0
-    truncated = False
-    reason = None
-    prev_energy = energy(initial, params)
-    for m in range(1, n_rounds + 1):
-        if interval_policy == "analytic":
-            if scheme != "power_on":
-                raise ValueError("the analytic interval formula applies to the power_on scheme")
-            # mean-based form: damped states may carry coherence dust
-            tau = quarter_period(params, mean_occupation(state))
-        elif interval_policy == "fixed":
-            if fixed_tau is None:
-                raise ValueError("fixed policy needs fixed_tau")
-            tau = fixed_tau
-        elif interval_policy == "schedule":
-            tau = float(tau_schedule[m - 1])
-        else:
-            raise ValueError(f"unknown interval policy {interval_policy!r}")
-        joint = np.kron(rho_c, state.matrix)
-        evolved = integrate(joint, tau, params, diss, rtol=rtol, atol=atol)
-        battery, prob = _project_qubit(evolved, phi, dim)
+    def take_round(state, tau):
+        evolved = integrate(np.kron(rho_c, state.matrix), tau, params, diss, rtol=rtol, atol=atol)
+        battery, prob = _project_qubit(evolved, phi, params.dim)
         if prob < ZERO_PROBABILITY_ATOL:
-            truncated = True
-            reason = f"round {m}: outcome probability {prob:.3e}"
-            break
-        post = BatteryState.from_matrix(
-            battery / prob, herm_atol=1e-8, clip=POSITIVITY_ATOL
-        )
-        thermo = snapshot(post, params, prev_energy, tau)
-        records.append(RoundRecord(post, prob, tau, scheme, thermo))
-        cumulative *= prob
-        prev_energy = thermo.energy
-        state = post
-    if not records:
-        raise ZeroProbabilityError(f"protocol produced no rounds ({reason})")
-    return Trajectory(
-        rounds=tuple(records),
-        cumulative_probability=cumulative,
-        scheme=scheme,
-        params=params,
-        initial_state=initial,
-        truncated=truncated,
-        truncation_reason=reason,
-    )
+            raise ZeroProbabilityError(f"outcome probability {prob:.3e}")
+        post = BatteryState.from_matrix(battery / prob, herm_atol=1e-8, clip=POSITIVITY_ATOL)
+        return RoundRecord(post, prob, tau, scheme)
+
+    return _drive(initial, params, scheme, n_rounds, choose_tau, take_round, ZeroProbabilityError)

@@ -10,7 +10,7 @@ and the measured state j of the qubit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,28 +30,65 @@ def rabi_frequency(params: SystemParams, n) -> float | np.ndarray:
     return np.sqrt(params.g**2 * np.asarray(n) + params.delta**2 / 4.0)
 
 
-def _sin_over_omega(omega, tau: float) -> np.ndarray:
-    """sin(omega*tau)/omega with the omega -> 0 limit tau."""
-    omega = np.asarray(omega, dtype=float)
-    safe = np.where(omega > 0.0, omega, 1.0)
-    return np.where(omega > 0.0, np.sin(omega * tau) / safe, tau)
+def _rotation(params: SystemParams, tau, blocks: np.ndarray):
+    """O_n, ``tau`` reshaped to broadcast against them, and
+    sin(O_n tau)/O_n (limit tau as O_n -> 0) for the given blocks; a 1-D
+    array of T intervals gives shape (T, blocks), built in one buffer."""
+    omega = rabi_frequency(params, blocks)
+    tau = np.asarray(tau, dtype=float)[..., None]
+    s = np.multiply(omega, tau)
+    np.sin(s, out=s)
+    np.divide(s, np.where(omega > 0.0, omega, 1.0), out=s)
+    np.copyto(s, tau, where=omega == 0.0)
+    return omega, tau, s
 
 
-def _amplitude_vectors(params: SystemParams, tau: float) -> tuple[np.ndarray, np.ndarray]:
+def _amplitude_vectors(params: SystemParams, tau) -> tuple[np.ndarray, np.ndarray]:
     """Stay and swap amplitudes for every block n = 0..N.
 
     stay[n] = cos(O_n tau) + i*(delta/2)*sin(O_n tau)/O_n
     swap[n] = -i*exp(-i*delta*tau/2)*g*sqrt(n)*sin(O_n tau)/O_n
 
     |stay[n]|^2 + |swap[n]|^2 = 1 for every n >= 1 (block unitarity);
-    swap[0] = 0 since level 0 has no partner below it.
+    swap[0] = 0 since level 0 has no partner below it. A 1-D array of
+    intervals gives shape (T, N+1).
     """
     n = np.arange(params.dim)
-    omega = rabi_frequency(params, n)
-    s = _sin_over_omega(omega, tau)
+    omega, tau, s = _rotation(params, tau, n)
     stay = np.cos(omega * tau) + 0.5j * params.delta * s
     swap = -1j * np.exp(-0.5j * params.delta * tau) * params.g * np.sqrt(n) * s
     return stay, swap
+
+
+def _map_weights(params: SystemParams, tau, kind: str) -> np.ndarray:
+    """|matrix element|^2 of one Kraus operator on each level it writes
+    to, in real arithmetic with s_n = sin(O_n tau)/O_n: |swap_n|^2 =
+    g^2 n s_n^2 for eg and |swap_{n+1}|^2 for ge, |stay_n|^2 = cos^2(O_n tau)
+    + (delta s_n/2)^2 for gg, and |stay_{n+1}|^2 then the uncoupled top
+    level's 1 for ee."""
+    blocks = np.arange(params.dim) + (kind in ("ge", "ee"))
+    omega, tau, s = _rotation(params, tau, blocks)
+    if kind in ("eg", "ge"):
+        np.square(s, out=s)
+        s *= params.g**2 * blocks
+        return s
+    stay = np.cos(omega * tau) ** 2 + (0.5 * params.delta * s) ** 2
+    if kind == "ee":
+        stay[..., -1] = 1.0
+    return stay
+
+
+def _diagonal_map(kind: str, weights: np.ndarray, populations: np.ndarray) -> np.ndarray:
+    """Unnormalized populations after the map of one Kraus kind: eg moves
+    p_{n-1} up to level n, ge moves p_{n+1} down, gg and ee keep levels in
+    place, each times the weight of the level it lands on. ``weights``
+    (which may carry an interval axis) is overwritten with the result."""
+    if kind == "eg":
+        populations = np.concatenate([[0.0], populations[:-1]])
+    elif kind == "ge":
+        populations = np.concatenate([populations[1:], [0.0]])
+    weights *= populations
+    return weights
 
 
 @dataclass(frozen=True)
@@ -70,11 +107,11 @@ def block_coefficients(params: SystemParams, n: int, tau: float) -> BlockCoeffic
         raise ValueError(f"blocks are indexed by n >= 1, got {n}")
     if tau < 0:
         raise ValueError(f"tau must be >= 0, got {tau}")
-    omega = float(rabi_frequency(params, n))
-    s = float(_sin_over_omega(omega, tau))
-    stay = complex(np.cos(omega * tau) + 0.5j * params.delta * s)
-    swap = complex(-1j * np.exp(-0.5j * params.delta * tau) * params.g * np.sqrt(n) * s)
-    return BlockCoefficients(n=n, rabi=omega, stay=stay, swap=swap)
+    # block n is the top block of the ladder truncated at N = n
+    stay, swap = _amplitude_vectors(replace(params, n_levels=n), tau)
+    return BlockCoefficients(
+        n=n, rabi=float(rabi_frequency(params, n)), stay=complex(stay[n]), swap=complex(swap[n])
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,27 +158,10 @@ def kraus_set(params: SystemParams, tau: float) -> KrausSet:
     return KrausSet(eg=eg, ge=ge, gg=gg, ee=ee, tau=tau)
 
 
-def _diagonal_weights(kraus: KrausSet, kind: str) -> np.ndarray:
-    """|matrix element|^2 weights used by the fast diagonal path."""
-    op = kraus.operator(kind)
-    if kind == "eg":
-        return np.abs(np.diag(op, k=-1)) ** 2
-    if kind == "ge":
-        return np.abs(np.diag(op, k=1)) ** 2
-    return np.abs(np.diag(op)) ** 2
-
-
 def apply_map_diagonal(kraus: KrausSet, kind: str, populations: np.ndarray) -> np.ndarray:
     """Unnormalized populations after the map of one Kraus operator."""
-    out = np.zeros_like(populations)
-    w = _diagonal_weights(kraus, kind)
-    if kind == "eg":
-        out[1:] = w * populations[:-1]
-    elif kind == "ge":
-        out[:-1] = w * populations[1:]
-    else:
-        out[:] = w * populations
-    return out
+    # each row holds at most one entry, the weight of the level it writes to
+    return _diagonal_map(kind, (np.abs(kraus.operator(kind)) ** 2).sum(axis=1), populations)
 
 
 def povm_apply(kind: str, state: BatteryState, kraus: KrausSet) -> tuple[BatteryState, float]:
@@ -195,23 +215,9 @@ def joint_hamiltonian(params: SystemParams) -> np.ndarray:
 def joint_unitary(params: SystemParams, tau: float) -> np.ndarray:
     """Exact propagator exp(-i H tau) on the 2(N+1) joint space.
 
-    Assembled from the closed-form block amplitudes rather than a matrix
-    exponential; |g, 0> is left invariant and |e, N> picks up only the
-    detuning phase.
+    Assembled from the closed-form Kraus blocks <j|U|i> rather than a
+    matrix exponential; |g, 0> is left invariant and |e, N> picks up only
+    the detuning phase. Kept as an oracle for the Kraus-contracted rounds.
     """
-    if tau < 0:
-        raise ValueError(f"tau must be >= 0, got {tau}")
-    dim = params.dim
-    stay, swap = _amplitude_vectors(params, tau)
-    phase = np.exp(-0.5j * params.delta * tau)
-    u = np.zeros((2 * dim, 2 * dim), dtype=complex)
-    u[0, 0] = 1.0
-    u[2 * dim - 1, 2 * dim - 1] = np.exp(-1j * params.delta * tau)
-    ns = np.arange(1, dim)
-    up = dim + ns - 1   # |e, n-1>
-    lo = ns             # |g, n>
-    u[up, up] = phase * np.conj(stay[1:])
-    u[lo, lo] = phase * stay[1:]
-    u[up, lo] = swap[1:]
-    u[lo, up] = swap[1:]
-    return u
+    ks = kraus_set(params, tau)
+    return np.block([[ks.gg, ks.eg], [ks.ge, ks.ee]])

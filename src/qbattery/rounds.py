@@ -1,13 +1,16 @@
 """Single evolution-and-measurement rounds.
 
-The two named schemes act on diagonal states through closed-form
-population maps: power-on prepares the qubit excited and measures it in
-the ground state (population climbs one level), power-off prepares it
-in the ground state and measures it excited (population steps down, but
-renormalization can still raise the mean). The general (q, theta, c)
-round embeds the battery with the qubit, applies the exact joint
-propagator, projects, and traces the qubit out, so it handles charger
-coherence and non-diagonal battery states.
+The two named schemes act on diagonal states through the closed-form
+population map of one Kraus operator: power-on prepares the qubit
+excited and measures it in the ground state (population climbs one
+level), power-off prepares it in the ground state and measures it
+excited (population steps down, but renormalization can still raise the
+mean). The general (q, theta, c) round contracts the four Kraus
+operators with the charger's preparation and measured state, so it
+handles charger coherence and non-diagonal battery states without the
+joint qubit-battery space. For diagonal states its populations split
+into the four single-operator maps and a coherence part, which the
+closed-form single-round ratio over a whole (q, theta, c) grid reuses.
 """
 
 from __future__ import annotations
@@ -17,10 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .propagator import (
+    KRAUS_KINDS,
     ZERO_PROBABILITY_ATOL,
     ZeroProbabilityError,
     _amplitude_vectors,
-    joint_unitary,
+    _diagonal_map,
+    _map_weights,
+    kraus_set,
 )
 from .states import BatteryState, ChargerSpec, SystemParams
 from .thermo import ThermoSnapshot
@@ -45,10 +51,28 @@ class RoundRecord:
             raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
 
 
-def _swap_weights(params: SystemParams, tau: float) -> np.ndarray:
-    """|swap amplitude|^2 for blocks 1..N (index 0 unused, zero)."""
-    _, swap = _amplitude_vectors(params, tau)
-    return np.abs(swap) ** 2
+# Kraus kind and post-selected qubit outcome of each named scheme.
+_NAMED_SCHEMES = {"power_on": ("eg", "ground-state"), "power_off": ("ge", "excited-state")}
+
+
+def _named_populations(populations: np.ndarray, params: SystemParams, tau, scheme: str) -> np.ndarray:
+    """Unnormalized populations after a power-on or power-off round; a
+    1-D array of intervals adds a leading axis."""
+    kind = _NAMED_SCHEMES[scheme][0]
+    return _diagonal_map(kind, _map_weights(params, tau, kind), populations)
+
+
+def _named_round(state: BatteryState, params: SystemParams, tau: float, scheme: str) -> RoundRecord:
+    if not state.is_diagonal:
+        raise ValueError(f"{scheme}_round requires a diagonal state")
+    if state.populations.size != params.dim:
+        raise ValueError("state and params disagree on the ladder size")
+    out = _named_populations(state.populations, params, tau, scheme)
+    prob = float(out.sum())
+    if prob < ZERO_PROBABILITY_ATOL:
+        outcome = _NAMED_SCHEMES[scheme][1]
+        raise ZeroProbabilityError(f"{outcome} outcome has probability {prob:.3e}")
+    return RoundRecord(BatteryState.diagonal(out / prob), prob, tau, scheme)
 
 
 def power_on_round(state: BatteryState, params: SystemParams, tau: float) -> RoundRecord:
@@ -58,17 +82,7 @@ def power_on_round(state: BatteryState, params: SystemParams, tau: float) -> Rou
     exactly one level, and any population already on the top level is
     lost to the discarded outcome.
     """
-    if not state.is_diagonal:
-        raise ValueError("power_on_round requires a diagonal state")
-    if state.populations.size != params.dim:
-        raise ValueError("state and params disagree on the ladder size")
-    w = _swap_weights(params, tau)
-    out = np.zeros_like(state.populations)
-    out[1:] = w[1:] * state.populations[:-1]
-    prob = float(out.sum())
-    if prob < ZERO_PROBABILITY_ATOL:
-        raise ZeroProbabilityError(f"ground-state outcome has probability {prob:.3e}")
-    return RoundRecord(BatteryState.diagonal(out / prob), prob, tau, "power_on")
+    return _named_round(state, params, tau, "power_on")
 
 
 def power_off_round(state: BatteryState, params: SystemParams, tau: float) -> RoundRecord:
@@ -80,17 +94,7 @@ def power_off_round(state: BatteryState, params: SystemParams, tau: float) -> Ro
     is removed before renormalizing, the mean can still rise. A state
     with no population above level 0 cannot trigger the outcome.
     """
-    if not state.is_diagonal:
-        raise ValueError("power_off_round requires a diagonal state")
-    if state.populations.size != params.dim:
-        raise ValueError("state and params disagree on the ladder size")
-    w = _swap_weights(params, tau)
-    out = np.zeros_like(state.populations)
-    out[:-1] = w[1:] * state.populations[1:]
-    prob = float(out.sum())
-    if prob < ZERO_PROBABILITY_ATOL:
-        raise ZeroProbabilityError(f"excited-state outcome has probability {prob:.3e}")
-    return RoundRecord(BatteryState.diagonal(out / prob), prob, tau, "power_off")
+    return _named_round(state, params, tau, "power_off")
 
 
 def general_round(
@@ -101,24 +105,44 @@ def general_round(
 ) -> RoundRecord:
     """One round for an arbitrary charger preparation and measurement angle.
 
-    Evolves the full qubit (x) battery density matrix with the exact
-    joint propagator, projects the qubit onto
-    cos(theta/2)|g> + sin(theta/2)|e>, traces the qubit out, and
-    normalizes; the probability is the pre-normalization trace.
+    With the measured state phi = cos(theta/2)|g> + sin(theta/2)|e> and
+    M_i = sum_j phi_j* <j|U|i>, the unnormalized post state is
+    sum_{i,i'} rho_c[i,i'] M_i rho M_i'^+ for the charger density matrix
+    rho_c, the same as evolving the joint state, projecting the qubit and
+    tracing it out; the probability is its trace.
     """
-    dim = params.dim
-    if state.populations.size != dim:
+    if state.populations.size != params.dim:
         raise ValueError("state and params disagree on the ladder size")
-    u = joint_unitary(params, tau)
-    joint = np.kron(charger.density_matrix(), state.matrix)
-    evolved = u @ joint @ u.conj().T
-    phi = charger.measured_state().astype(complex)
-    blocks = evolved.reshape(2, dim, 2, dim)
-    battery = np.einsum("i,injm,j->nm", phi.conj(), blocks, phi)
+    ks = kraus_set(params, tau)
+    phi = charger.measured_state()
+    m = np.stack([phi[0] * ks.gg + phi[1] * ks.ge, phi[0] * ks.eg + phi[1] * ks.ee])
+    # mixed[i'] = sum_i rho_c[i, i'] M_i rho
+    mixed = np.tensordot(charger.density_matrix(), m @ state.matrix, axes=(0, 0))
+    battery = mixed[0] @ m[0].conj().T + mixed[1] @ m[1].conj().T
     prob = float(np.trace(battery).real)
     if prob < ZERO_PROBABILITY_ATOL:
         raise ZeroProbabilityError(f"projection onto theta={charger.theta} has probability {prob:.3e}")
     return RoundRecord(BatteryState.from_matrix(battery / prob), prob, tau, "general")
+
+
+def _charger_weights(q, theta, c) -> tuple:
+    """Weights of the parts of ``_diagonal_parts`` in one round; array
+    arguments broadcast."""
+    cos2 = np.cos(theta / 2.0) ** 2
+    sin2 = np.sin(theta / 2.0) ** 2
+    coherence = c * np.sqrt(q * (1.0 - q)) * np.sin(theta)
+    return (1.0 - q) * cos2, q * sin2, q * cos2, (1.0 - q) * sin2, coherence
+
+
+def _diagonal_parts(populations: np.ndarray, params: SystemParams, tau: float) -> np.ndarray:
+    """Unweighted population parts of a round on a diagonal state: the
+    eg, ge, gg and ee maps (KRAUS_KINDS order) and the coherence part
+    Re[stay_n stay_{n+1}] p_n, whose top level uses the bare detuning
+    phase in place of the missing stay amplitude."""
+    stay, _ = _amplitude_vectors(params, tau)
+    core = np.append(stay[:-1] * stay[1:], stay[-1] * np.exp(0.5j * params.delta * tau)).real
+    maps = [_diagonal_map(kind, _map_weights(params, tau, kind), populations) for kind in KRAUS_KINDS]
+    return np.array(maps + [core * populations])
 
 
 def coherence_population(
@@ -138,12 +162,8 @@ def coherence_population(
     """
     if not state.is_diagonal:
         raise ValueError("coherence_population requires a diagonal state")
-    stay, _ = _amplitude_vectors(params, tau)
-    core = np.empty(params.dim)
-    core[:-1] = np.real(stay[:-1] * stay[1:])
-    core[-1] = np.real(stay[-1] * np.exp(0.5j * params.delta * tau))
-    weight = charger.c * np.sqrt(charger.q * (1.0 - charger.q)) * np.sin(charger.theta)
-    return weight * core * state.populations
+    weight = _charger_weights(charger.q, charger.theta, charger.c)[4]
+    return weight * _diagonal_parts(state.populations, params, tau)[4]
 
 
 def charge_discharge_populations(
@@ -161,21 +181,20 @@ def charge_discharge_populations(
     """
     if not state.is_diagonal:
         raise ValueError("requires a diagonal state")
-    p = state.populations
-    stay, swap = _amplitude_vectors(params, tau)
-    w = np.abs(swap) ** 2
-    a2 = np.abs(stay) ** 2
-    up = np.zeros_like(p)
-    up[1:] = w[1:] * p[:-1]
-    down = np.zeros_like(p)
-    down[:-1] = w[1:] * p[1:]
-    hold = a2 * p
-    hold_shifted = np.zeros_like(p)
-    hold_shifted[:-1] = a2[1:] * p[:-1]
-    hold_shifted[-1] = p[-1]    # uncoupled top level kept with unit weight
-    cos2 = np.cos(charger.theta / 2.0) ** 2
-    sin2 = np.sin(charger.theta / 2.0) ** 2
-    q = charger.q
-    charge = (1.0 - q) * cos2 * up + q * sin2 * down
-    discharge = q * cos2 * hold + (1.0 - q) * sin2 * hold_shifted
-    return charge, discharge
+    up, down, hold, hold_shifted, _ = _diagonal_parts(state.populations, params, tau)
+    w_up, w_down, w_hold, w_shifted, _ = _charger_weights(charger.q, charger.theta, charger.c)
+    return w_up * up + w_down * down, w_hold * hold + w_shifted * hold_shifted
+
+
+def _mean_ratios(populations: np.ndarray, params: SystemParams, tau: float, q, theta, c) -> np.ndarray:
+    """Normalized post-round mean over the pre-round mean of a diagonal
+    state for every charger of a (q, theta, c) grid, NaN where the
+    outcome probability vanishes. The parts do not depend on the charger,
+    so each is reduced once to its sum and first moment."""
+    parts = _diagonal_parts(populations, params, tau)
+    levels = np.arange(populations.size)
+    weights = np.array(_charger_weights(q, theta, c))
+    prob = parts.sum(axis=1) @ weights
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = (parts @ levels) @ weights / prob / float(levels @ populations)
+    return np.where(prob < ZERO_PROBABILITY_ATOL, np.nan, ratio)

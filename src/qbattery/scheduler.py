@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .propagator import ZeroProbabilityError, _amplitude_vectors
-from .rounds import RoundRecord, general_round, power_off_round, power_on_round
+from .propagator import ZeroProbabilityError
+from .rounds import RoundRecord, _named_populations, general_round, power_off_round, power_on_round
 from .states import BatteryState, ChargerSpec, SystemParams, mean_occupation
 from .thermo import energy, snapshot
 
@@ -103,16 +103,17 @@ def _tau_grid(params: SystemParams, tau_max: float | None, grid_points: int) -> 
     return np.linspace(0.0, tau_max, grid_points + 1)[1:]
 
 
-def round_probability(state: BatteryState, params: SystemParams, scheme: str, tau: float) -> float:
-    """Measurement probability of one power-on or power-off round."""
-    _, swap = _amplitude_vectors(params, tau)
-    w = np.abs(swap) ** 2
-    p = state.populations
-    if scheme == "power_on":
-        return float(w[1:] @ p[:-1])
-    if scheme == "power_off":
-        return float(w[1:] @ p[1:])
-    raise ValueError(f"no closed-form probability for scheme {scheme!r}")
+def round_probability(
+    state: BatteryState, params: SystemParams, scheme: str, tau: float | np.ndarray
+) -> float | np.ndarray:
+    """Measurement probability of one power-on or power-off round.
+
+    A 1-D array of intervals gives one probability per interval.
+    """
+    if scheme not in ("power_on", "power_off"):
+        raise ValueError(f"no closed-form probability for scheme {scheme!r}")
+    prob = _named_populations(state.populations, params, tau, scheme).sum(axis=-1)
+    return float(prob) if prob.ndim == 0 else prob
 
 
 def quarter_period(params: SystemParams, nbar: float) -> float:
@@ -146,7 +147,7 @@ def tau_opt_numeric(
     neighboring grid points.
     """
     taus = _tau_grid(params, tau_max, grid_points)
-    probs = np.array([round_probability(state, params, scheme, t) for t in taus])
+    probs = round_probability(state, params, scheme, taus)
     i = int(probs.argmax())
     lo = taus[i - 1] if i > 0 else taus[i] / 2.0
     hi = taus[i + 1] if i + 1 < taus.size else taus[i]
@@ -156,32 +157,31 @@ def tau_opt_numeric(
 def power_off_objective(
     state: BatteryState,
     params: SystemParams,
-    tau: float,
+    tau: float | np.ndarray,
     cumulative_p: float = 1.0,
     x: float = 10.0,
     objective: str = "per_round",
-) -> float:
+) -> float | np.ndarray:
     """exp(x * P) * log_x(r) for one candidate power-off interval.
 
     r is the normalized post-round mean over the current mean; P is
     either the round's own probability or the cumulative product
-    including it. Positive only for intervals that actually charge.
+    including it. Positive only for intervals that actually charge. A
+    1-D array of intervals gives one value per interval.
     """
-    _, swap = _amplitude_vectors(params, tau)
-    w = np.abs(swap) ** 2
     p = state.populations
-    out = np.zeros_like(p)
-    out[:-1] = w[1:] * p[1:]
-    prob = float(out.sum())
-    if prob <= 0.0:
-        return -math.inf
-    m0 = mean_occupation(state)
-    levels = np.arange(p.size)
-    ratio = float(levels @ out) / prob / m0
-    if ratio <= 0.0:  # everything landed on level 0
-        return -math.inf
+    out = _named_populations(p, params, tau, "power_off")
+    prob = out.sum(axis=-1)
     weight = cumulative_p * prob if objective == "cumulative" else prob
-    return math.exp(x * weight) * math.log(ratio) / math.log(x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # a row sum rather than a dot product, so that a grid of intervals
+        # and the scalar refinement round alike
+        out *= np.arange(p.size)
+        ratio = out.sum(axis=-1) / prob / mean_occupation(state)
+        value = np.exp(x * weight) * np.log(ratio) / np.log(x)
+    # no outcome, or everything landed on level 0
+    value = np.where((prob > 0.0) & (ratio > 0.0), value, -np.inf)
+    return float(value) if value.ndim == 0 else value
 
 
 def tau_opt_power_off(
@@ -206,9 +206,7 @@ def tau_opt_power_off(
     if x <= 1.0:
         raise ValueError(f"the balance index x must exceed 1, got {x}")
     taus = _tau_grid(params, tau_max, grid_points)
-    vals = np.array([
-        power_off_objective(state, params, t, cumulative_p, x, objective) for t in taus
-    ])
+    vals = power_off_objective(state, params, taus, cumulative_p, x, objective)
     if not (vals > 0.0).any():
         raise NoChargingError("no candidate interval raises the mean population")
     i = int(vals.argmax())
@@ -220,37 +218,52 @@ def tau_opt_power_off(
     )
 
 
-def _choose_tau(
-    state: BatteryState,
+def _drive(
+    initial: BatteryState,
     params: SystemParams,
     scheme: str,
-    policy: str,
-    cumulative_p: float,
-    fixed_tau: float | None,
-    x: float,
-    objective: str,
-    tau_max: float | None,
-    grid_points: int,
-) -> float:
-    if policy == "fixed":
-        if fixed_tau is None:
-            raise ValueError("fixed policy needs fixed_tau")
-        return fixed_tau
-    if policy == "analytic":
-        if scheme != "power_on":
-            raise ValueError("the analytic interval formula applies to the power_on scheme")
-        return tau_opt_analytic(state, params)
-    if policy == "numeric":
-        if scheme == "general":
-            raise ValueError("numeric interval optimization needs a named scheme")
-        return tau_opt_numeric(state, params, scheme, tau_max, grid_points)
-    if policy == "power_off_compromise":
-        if scheme != "power_off":
-            raise ValueError("the compromise objective applies to the power_off scheme")
-        return tau_opt_power_off(
-            state, params, cumulative_p, x, tau_max, grid_points, objective
-        )
-    raise ValueError(f"policy must be one of {POLICIES}, got {policy!r}")
+    n_rounds: int,
+    choose_tau,
+    take_round,
+    no_rounds_error: type[Exception],
+) -> Trajectory:
+    """The round loop shared by the closed and the damped protocols.
+
+    ``choose_tau(state, cumulative, m)`` picks round m's interval and
+    ``take_round(state, tau)`` returns its RoundRecord. A zero-probability
+    outcome or a power-off stall truncates the trajectory, flagged with
+    the failing round; if round 1 fails, ``no_rounds_error`` is raised.
+    """
+    if n_rounds < 1:
+        raise ValueError(f"n_rounds must be >= 1, got {n_rounds}")
+    state = initial
+    records: list[RoundRecord] = []
+    cumulative = 1.0
+    reason = None
+    prev_energy = energy(initial, params)
+    for m in range(1, n_rounds + 1):
+        try:
+            tau = choose_tau(state, cumulative, m)
+            rec = take_round(state, tau)
+        except (ZeroProbabilityError, NoChargingError) as err:
+            reason = f"round {m}: {err}"
+            break
+        thermo = snapshot(rec.post_state, params, prev_energy, rec.tau)
+        records.append(RoundRecord(rec.post_state, rec.probability, rec.tau, scheme, thermo))
+        cumulative *= rec.probability
+        prev_energy = thermo.energy
+        state = rec.post_state
+    if not records:
+        raise no_rounds_error(f"protocol produced no rounds ({reason})")
+    return Trajectory(
+        rounds=tuple(records),
+        cumulative_probability=cumulative,
+        scheme=scheme,
+        params=params,
+        initial_state=initial,
+        truncated=reason is not None,
+        truncation_reason=reason,
+    )
 
 
 def run_protocol(
@@ -273,52 +286,42 @@ def run_protocol(
     and an energy/ergotropy snapshot. A zero-probability outcome or a
     power-off stall truncates the trajectory (flagged with the failing
     round, not raised) since partial trajectories are still useful data;
-    a failure in the very first round raises instead, as does an invalid
-    scheme/policy combination.
+    a failure in the very first round raises NoChargingError instead, as
+    does an invalid scheme/policy combination (ValueError).
     """
-    if n_rounds < 1:
-        raise ValueError(f"n_rounds must be >= 1, got {n_rounds}")
     if scheme == "general" and charger is None:
         raise ValueError("the general scheme needs a ChargerSpec")
-    state = initial
-    records: list[RoundRecord] = []
-    cumulative = 1.0
-    truncated = False
-    reason = None
-    prev_energy = energy(initial, params)
-    for m in range(1, n_rounds + 1):
-        try:
-            tau = _choose_tau(
-                state, params, scheme, interval_policy, cumulative,
-                fixed_tau, x, objective, tau_max, grid_points,
-            )
-            if scheme == "power_on":
-                rec = power_on_round(state, params, tau)
-            elif scheme == "power_off":
-                rec = power_off_round(state, params, tau)
-            else:
-                rec = general_round(state, charger, params, tau)
-        except (ZeroProbabilityError, NoChargingError) as err:
-            truncated = True
-            reason = f"round {m}: {err}"
-            break
-        thermo = snapshot(rec.post_state, params, prev_energy, rec.tau)
-        rec = RoundRecord(rec.post_state, rec.probability, rec.tau, rec.scheme, thermo)
-        records.append(rec)
-        cumulative *= rec.probability
-        prev_energy = thermo.energy
-        state = rec.post_state
-    if not records:
-        raise NoChargingError(f"protocol produced no rounds ({reason})")
-    return Trajectory(
-        rounds=tuple(records),
-        cumulative_probability=cumulative,
-        scheme=scheme,
-        params=params,
-        initial_state=initial,
-        truncated=truncated,
-        truncation_reason=reason,
-    )
+    if interval_policy == "fixed":
+        if fixed_tau is None:
+            raise ValueError("fixed policy needs fixed_tau")
+        choose_tau = lambda state, cumulative, m: fixed_tau
+    elif interval_policy == "analytic":
+        if scheme != "power_on":
+            raise ValueError("the analytic interval formula applies to the power_on scheme")
+        choose_tau = lambda state, cumulative, m: tau_opt_analytic(state, params)
+    elif interval_policy == "numeric":
+        if scheme == "general":
+            raise ValueError("numeric interval optimization needs a named scheme")
+        choose_tau = lambda state, cumulative, m: tau_opt_numeric(
+            state, params, scheme, tau_max, grid_points
+        )
+    elif interval_policy == "power_off_compromise":
+        if scheme != "power_off":
+            raise ValueError("the compromise objective applies to the power_off scheme")
+        choose_tau = lambda state, cumulative, m: tau_opt_power_off(
+            state, params, cumulative, x, tau_max, grid_points, objective
+        )
+    else:
+        raise ValueError(f"policy must be one of {POLICIES}, got {interval_policy!r}")
+
+    def take_round(state, tau):
+        if scheme == "power_on":
+            return power_on_round(state, params, tau)
+        if scheme == "power_off":
+            return power_off_round(state, params, tau)
+        return general_round(state, charger, params, tau)
+
+    return _drive(initial, params, scheme, n_rounds, choose_tau, take_round, NoChargingError)
 
 
 def sample_protocol(
@@ -335,16 +338,17 @@ def sample_protocol(
 
     The reference trajectory (states, intervals, probabilities) is the
     deterministic post-selected one; sampling only decides how many
-    attempts a run takes. Returns the trajectory and the number of
-    attempts until one run passed every measurement. Deterministic for a
-    given seed.
+    attempts a run takes. An attempt passes every measurement with the
+    cumulative probability, so the attempt count is one geometric draw.
+    Returns the trajectory and that count. Deterministic for a given
+    seed; raises RuntimeError past ``max_attempts``.
     """
     trajectory = run_protocol(
         initial, params, scheme, n_rounds, interval_policy, **kwargs
     )
-    rng = np.random.default_rng(seed)
-    probs = trajectory.probabilities()
-    for attempt in range(1, max_attempts + 1):
-        if (rng.uniform(size=probs.size) < probs).all():
-            return trajectory, attempt
-    raise RuntimeError(f"no successful run within {max_attempts} attempts")
+    p = trajectory.cumulative_probability
+    # rng.geometric rejects p = 0 and saturates for tiny p
+    attempts = int(np.random.default_rng(seed).geometric(p)) if p > 0.0 else max_attempts + 1
+    if attempts > max_attempts:
+        raise RuntimeError(f"no successful run within {max_attempts} attempts")
+    return trajectory, attempts

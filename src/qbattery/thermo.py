@@ -73,14 +73,9 @@ def snapshot(
 
 
 def charging_power(trajectory, m: int) -> float:
-    """Energy gained in round m per unit interval, (E_m - E_{m-1}) / tau_m."""
+    """Energy gained in round m per unit interval, (E_m - E_{m-1}) / tau_m,
+    as recorded in the round's snapshot."""
     records = trajectory.rounds
     if not 1 <= m <= len(records):
         raise IndexError(f"round {m} outside 1..{len(records)}")
-    params = trajectory.params
-    e_now = energy(records[m - 1].post_state, params)
-    if m == 1:
-        e_prev = energy(trajectory.initial_state, params)
-    else:
-        e_prev = energy(records[m - 2].post_state, params)
-    return (e_now - e_prev) / records[m - 1].tau
+    return records[m - 1].thermo.power

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .lindblad import DissipationParams, integrate
+from .lindblad import DissipationParams, _project_qubit, integrate
 from .propagator import (
     KrausSet,
     block_coefficients,
@@ -20,7 +20,8 @@ from .propagator import (
     joint_unitary,
     kraus_set,
 )
-from .states import SystemParams, thermal_state
+from .rounds import general_round
+from .states import BatteryState, ChargerSpec, SystemParams, thermal_state
 
 BLOCK_UNITARITY_ATOL = 1e-12
 COMPLETENESS_ATOL = 1e-12
@@ -134,6 +135,44 @@ def check_dense_oracle(
     return CheckResult("joint propagator vs dense exponential", worst, ORACLE_ATOL)
 
 
+def general_round_oracle_deviation(
+    state: BatteryState, charger: ChargerSpec, params: SystemParams, tau: float
+) -> float:
+    """Gap between the Kraus-contracted ``general_round`` and the dense
+    round: embed with the charger, evolve with the joint propagator,
+    project the qubit, trace it out. Compares unnormalized battery states."""
+    u = joint_unitary(params, tau)
+    evolved = u @ np.kron(charger.density_matrix(), state.matrix) @ u.conj().T
+    dense, prob = _project_qubit(evolved, charger.measured_state().astype(complex), params.dim)
+    rec = general_round(state, charger, params, tau)
+    return float(np.abs(rec.post_state.matrix * rec.probability - dense).max())
+
+
+def check_general_round_oracle(
+    n_levels: int = 20,
+    cases=(
+        (0.04, 0.02, 8.0, 0.3, 1.2, 1.0),
+        (0.07, -0.03, 15.0, 0.8, 2.5, 0.5),
+        (0.04, 0.0, 39.27, 0.5, 0.7, 0.0),
+        (0.1, 0.05, 3.0, 0.0, 0.0, 0.0),
+        (0.1, 0.05, 3.0, 1.0, np.pi, 0.0),
+    ),
+    seed: int = 2,
+) -> CheckResult:
+    """Kraus-contracted general round vs the dense joint-propagator round,
+    on a thermal (diagonal) state and a random state with coherences."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for g, delta, tau, q, theta, c in cases:
+        params = SystemParams(n_levels=n_levels, g=g, delta=delta, beta=0.1)
+        a = rng.normal(size=(params.dim, params.dim)) + 1j * rng.normal(size=(params.dim, params.dim))
+        rho = a @ a.conj().T
+        charger = ChargerSpec(q=q, theta=theta, c=c)
+        for state in (thermal_state(params), BatteryState.from_matrix(rho / np.trace(rho).real)):
+            worst = max(worst, general_round_oracle_deviation(state, charger, params, tau))
+    return CheckResult("general round vs dense joint propagator", worst, ORACLE_ATOL)
+
+
 def check_gamma_zero_reduction(
     n_levels: int = 10, beta: float = 0.1, tau: float = 8.0
 ) -> CheckResult:
@@ -162,5 +201,6 @@ def run_all_checks(fast: bool = False) -> list[CheckResult]:
         check_kraus_completeness(),
         check_block_oracle(n_samples=oracle_samples),
         check_dense_oracle(),
+        check_general_round_oracle(),
         check_gamma_zero_reduction(),
     ]

@@ -236,3 +236,71 @@ def test_round_record_validation():
         from qbattery import RoundRecord
 
         RoundRecord(state, 0.5, 1.0, "bogus")
+
+
+def random_state(rng, dim, diagonal):
+    if diagonal:
+        p = rng.uniform(size=dim)
+        return BatteryState.diagonal(p / p.sum())
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = a @ a.conj().T
+    return BatteryState.from_matrix(rho / np.trace(rho).real)
+
+
+def test_general_round_matches_dense_oracle_randomized():
+    # Kraus contraction against embedding, joint propagator and projection
+    from qbattery.validate import ORACLE_ATOL, general_round_oracle_deviation
+
+    rng = np.random.default_rng(2022)
+    worst = 0.0
+    for i in range(100):
+        params = SystemParams(
+            n_levels=int(rng.integers(1, 31)),
+            g=float(rng.uniform(1e-3, 0.2)),
+            delta=float(rng.uniform(-0.1, 0.1)),
+        )
+        charger = ChargerSpec(
+            q=float(rng.uniform()), theta=float(rng.uniform(0, math.pi)), c=float(rng.uniform()),
+        )
+        state = random_state(rng, params.dim, diagonal=i % 2 == 0)
+        tau = float(rng.uniform(0.0, 60.0))
+        try:
+            deviation = general_round_oracle_deviation(state, charger, params, tau)
+        except ZeroProbabilityError:
+            continue
+        worst = max(worst, deviation)
+    assert worst < ORACLE_ATOL
+
+
+def test_interval_grids_match_scalar_calls():
+    from qbattery import round_probability
+    from qbattery.scheduler import power_off_objective
+
+    params = SystemParams(n_levels=100, g=0.04, delta=0.02, beta=0.05)
+    state = thermal_state(params)
+    taus = np.linspace(0.0, 2.0 * math.pi / params.g, 401)
+    rtol = 8 * np.finfo(float).eps
+    for scheme in ("power_on", "power_off"):
+        grid = round_probability(state, params, scheme, taus)
+        scalar = [round_probability(state, params, scheme, float(t)) for t in taus]
+        np.testing.assert_allclose(grid, scalar, rtol=rtol, atol=0.0)
+    for objective in ("per_round", "cumulative"):
+        grid = power_off_objective(state, params, taus, 0.3, 10.0, objective)
+        scalar = [power_off_objective(state, params, float(t), 0.3, 10.0, objective) for t in taus]
+        assert np.isneginf(grid[0]) and np.isneginf(scalar[0])  # tau = 0: no outcome
+        np.testing.assert_allclose(grid, scalar, rtol=rtol, atol=0.0)
+
+
+def test_closed_form_sweep_matches_general_round():
+    from qbattery.rounds import _mean_ratios
+
+    rng = np.random.default_rng(5)
+    state = thermal_state(BASE)
+    q, theta, c = rng.uniform(size=40), rng.uniform(0, math.pi, size=40), rng.uniform(size=40)
+    q[:4], theta[:4], c[:4] = (0.0, 1.0, 0.0, 1.0), (0.0, math.pi, math.pi, 0.0), 0.0
+    ratios = _mean_ratios(state.populations, BASE, 8.0, q, theta, c)
+    for i in range(q.size):
+        charger = ChargerSpec(q=float(q[i]), theta=float(theta[i]), c=float(c[i]))
+        rec = general_round(state, charger, BASE, 8.0)
+        expected = mean_occupation(rec.post_state) / mean_occupation(state)
+        assert ratios[i] == pytest.approx(expected, rel=1e-12)

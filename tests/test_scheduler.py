@@ -247,3 +247,27 @@ def test_sample_protocol_deterministic():
         thermal_state(WARM), WARM, "power_on", 5, "analytic", seed=8
     )
     assert attempts3 >= 1
+
+
+def test_sample_protocol_draws_attempts_geometrically():
+    # one geometric draw with the cumulative success probability
+    trajectory = run_protocol(thermal_state(WARM), WARM, "power_on", 5, "analytic")
+    _, attempts = sample_protocol(thermal_state(WARM), WARM, "power_on", 5, "analytic", seed=7)
+    expected = np.random.default_rng(7).geometric(trajectory.cumulative_probability)
+    assert attempts == expected
+
+
+@pytest.mark.parametrize("round_probability", [1e-200, 1e-15, 0.5])
+def test_sample_protocol_raises_past_max_attempts(monkeypatch, round_probability):
+    # 1e-200 squared underflows to a zero cumulative probability, which
+    # rng.geometric rejects; 1e-15 squared saturates its draw
+    from qbattery import RoundRecord, Trajectory, scheduler
+
+    state = fock_state(1, 5)
+    params = SystemParams(n_levels=5, g=0.04)
+    rounds = tuple(RoundRecord(state, round_probability, 1.0, "power_on") for _ in range(2))
+    trajectory = Trajectory(rounds, round_probability**2, "power_on", params, state)
+    monkeypatch.setattr(scheduler, "run_protocol", lambda *args, **kwargs: trajectory)
+    with pytest.raises(RuntimeError):
+        # seed 0 draws 3 attempts at p = 0.25
+        sample_protocol(state, params, "power_on", 2, seed=0, max_attempts=2)
