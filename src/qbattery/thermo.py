@@ -64,10 +64,11 @@ def snapshot(
     power = None
     if previous_energy is not None and tau is not None and tau > 0:
         power = (e - previous_energy) / tau
+    extractable = ergotropy(state, params)
     return ThermoSnapshot(
         energy=e,
-        ergotropy=ergotropy(state, params),
-        ratio=ergotropy_ratio(state, params),
+        ergotropy=extractable,
+        ratio=extractable / e if e > 0.0 else 0.0,
         power=power,
     )
 

@@ -10,9 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from .lindblad import DissipationParams, _project_qubit, integrate
+from .lindblad import DissipationParams, _project_qubit, _rhs_factory, integrate
 from .propagator import (
     KrausSet,
     block_coefficients,
@@ -21,7 +22,7 @@ from .propagator import (
     kraus_set,
 )
 from .rounds import general_round
-from .states import BatteryState, ChargerSpec, SystemParams, thermal_state
+from .states import POWER_OFF, POWER_ON, BatteryState, ChargerSpec, SystemParams, thermal_state
 
 BLOCK_UNITARITY_ATOL = 1e-12
 COMPLETENESS_ATOL = 1e-12
@@ -135,6 +136,13 @@ def check_dense_oracle(
     return CheckResult("joint propagator vs dense exponential", worst, ORACLE_ATOL)
 
 
+def _thermal_and_random_states(params: SystemParams, rng) -> tuple[BatteryState, BatteryState]:
+    """The thermal state and a random full-rank state with coherences."""
+    a = rng.normal(size=(params.dim, params.dim)) + 1j * rng.normal(size=(params.dim, params.dim))
+    rho = a @ a.conj().T
+    return thermal_state(params), BatteryState.from_matrix(rho / np.trace(rho).real)
+
+
 def general_round_oracle_deviation(
     state: BatteryState, charger: ChargerSpec, params: SystemParams, tau: float
 ) -> float:
@@ -165,12 +173,55 @@ def check_general_round_oracle(
     worst = 0.0
     for g, delta, tau, q, theta, c in cases:
         params = SystemParams(n_levels=n_levels, g=g, delta=delta, beta=0.1)
-        a = rng.normal(size=(params.dim, params.dim)) + 1j * rng.normal(size=(params.dim, params.dim))
-        rho = a @ a.conj().T
         charger = ChargerSpec(q=q, theta=theta, c=c)
-        for state in (thermal_state(params), BatteryState.from_matrix(rho / np.trace(rho).real)):
+        for state in _thermal_and_random_states(params, rng):
             worst = max(worst, general_round_oracle_deviation(state, charger, params, tau))
     return CheckResult("general round vs dense joint propagator", worst, ORACLE_ATOL)
+
+
+def lindblad_sector_oracle_deviation(
+    state: BatteryState,
+    charger: ChargerSpec,
+    params: SystemParams,
+    diss: DissipationParams,
+    tau: float,
+    rtol: float = 1e-10,
+    atol: float = 1e-12,
+) -> float:
+    """Gap between ``integrate`` on the occupied excitation-gap bands and a
+    DOP853 solve of the dense right-hand side over every joint element,
+    at the same tolerances, from the charger (x) battery product state."""
+    rho0 = np.kron(charger.density_matrix(), state.matrix)
+    dim = rho0.shape[0]
+    rhs = _rhs_factory(params, diss)
+    sol = solve_ivp(
+        lambda t, y: rhs(y.reshape(dim, dim)).ravel(), (0.0, tau), rho0.ravel(),
+        method="DOP853", rtol=rtol, atol=atol,
+    )
+    dense = sol.y[:, -1].reshape(dim, dim)
+    sector = integrate(rho0, tau, params, diss, rtol=rtol, atol=atol, check=False)
+    return float(np.abs(sector - 0.5 * (dense + dense.conj().T)).max())
+
+
+def check_lindblad_sector_oracle(
+    n_levels: int = 20,
+    cases=(
+        (POWER_ON, 15.0),
+        (POWER_OFF, 8.0),
+        (ChargerSpec(q=0.3, theta=1.2, c=1.0), 8.0),
+    ),
+    seed: int = 3,
+) -> CheckResult:
+    """Sector-restricted damped integration vs the dense right-hand side,
+    on a thermal (diagonal) state and a random state with coherences."""
+    params = SystemParams(n_levels=n_levels, g=0.04, delta=0.02, beta=0.1)
+    diss = DissipationParams(gamma_b=1e-3, gamma_c=2e-3, nbar_th=0.4, nbar_th_c=0.3)
+    states = _thermal_and_random_states(params, np.random.default_rng(seed))
+    worst = 0.0
+    for charger, tau in cases:
+        for state in states:
+            worst = max(worst, lindblad_sector_oracle_deviation(state, charger, params, diss, tau))
+    return CheckResult("damped integration on occupied sectors vs dense generator", worst, ORACLE_ATOL)
 
 
 def check_gamma_zero_reduction(
@@ -202,5 +253,6 @@ def run_all_checks(fast: bool = False) -> list[CheckResult]:
         check_block_oracle(n_samples=oracle_samples),
         check_dense_oracle(),
         check_general_round_oracle(),
+        check_lindblad_sector_oracle(),
         check_gamma_zero_reduction(),
     ]

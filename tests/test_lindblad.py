@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from qbattery import (
+    BatteryState,
+    ChargerSpec,
     DissipationParams,
     SystemParams,
     dissipative_protocol,
@@ -15,6 +18,7 @@ from qbattery import (
     run_protocol,
     thermal_state,
 )
+from qbattery.lindblad import _rhs_factory
 from qbattery.validate import check_gamma_zero_reduction
 
 SMALL = SystemParams(n_levels=10, g=0.04, delta=0.02, beta=0.1)
@@ -189,3 +193,50 @@ def test_dissipative_protocol_power_off_scheme():
     )
     for a, b in zip(closed.rounds, damped.rounds):
         assert b.thermo.energy == pytest.approx(a.thermo.energy, abs=1e-7)
+
+
+def dense_superoperator(params, diss):
+    """Columns: the dense right-hand side applied to each basis matrix."""
+    dim = 2 * params.dim
+    rhs = _rhs_factory(params, diss)
+    basis = np.eye(dim * dim, dtype=complex).reshape(dim * dim, dim, dim)
+    return np.stack([rhs(e).ravel() for e in basis], axis=1)
+
+
+def random_battery(rng, dim, general):
+    if not general:
+        raw = rng.uniform(size=dim)
+        return BatteryState.diagonal(raw / raw.sum())
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = a @ a.conj().T
+    return BatteryState.from_matrix(rho / np.trace(rho).real)
+
+
+def test_integrate_matches_superoperator_exponential_on_random_sectors():
+    rng = np.random.default_rng(7)
+    for case in range(50):
+        params = SystemParams(
+            n_levels=int(rng.integers(1, 13)),
+            g=float(rng.uniform(0.01, 0.2)),
+            delta=float(rng.uniform(-0.1, 0.1)),
+        )
+        diss = DissipationParams(*rng.uniform([0.0, 0.0, 0.0, 0.0], [1e-2, 1e-2, 2.0, 1.0]))
+        tau = float(rng.uniform(0.5, 30.0))
+        dim = 2 * params.dim
+        if case == 0:
+            rho0 = random_joint_state(params, seed=case)
+        else:
+            coherent = bool(rng.integers(2))
+            charger = ChargerSpec(q=float(rng.uniform()), theta=float(rng.uniform(0.0, np.pi)),
+                                  c=float(rng.uniform()) if coherent else 0.0)
+            battery = random_battery(rng, params.dim, general=bool(rng.integers(2)))
+            rho0 = np.kron(charger.density_matrix(), battery.matrix)
+        k = np.add.outer(np.arange(2), np.arange(params.dim)).ravel()
+        gaps = np.subtract.outer(k, k)
+        outside = ~np.isin(gaps, gaps[rho0 != 0])
+        assert np.all(lindblad_rhs(rho0, params, diss)[outside] == 0.0)
+
+        exact = (expm(dense_superoperator(params, diss) * tau) @ rho0.ravel()).reshape(dim, dim)
+        evolved = integrate(rho0, tau, params, diss, rtol=1e-10, atol=1e-12)
+        assert np.abs(evolved - exact).max() < 1e-8, case
+        assert np.all(evolved[outside] == 0.0)

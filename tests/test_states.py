@@ -107,6 +107,14 @@ def test_occupation_variance():
     assert occupation_variance(two_point) == pytest.approx(0.25)
 
 
+def test_occupation_variance_keeps_its_digits_at_high_mean():
+    # p(1-p) on levels 80 and 81: sum n^2 p - mean^2 loses ~1e-10 relative
+    pops = np.zeros(101)
+    pops[[80, 81]] = [0.01, 0.99]
+    state = BatteryState.diagonal(pops)
+    assert occupation_variance(state) == pytest.approx(0.01 * 0.99, rel=1e-14)
+
+
 def test_fano_ratio():
     assert fano_ratio(fock_state(3, 10)) == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(ValueError):

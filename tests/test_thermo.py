@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+import qbattery.thermo as thermo
 from qbattery import (
     BatteryState,
     SystemParams,
@@ -124,6 +125,20 @@ def test_snapshot_power_field():
     assert snap.power is None
     snap = snapshot(state, PARAMS, previous_energy=0.0, tau=2.0)
     assert snap.power == pytest.approx(energy(state, PARAMS) / 2.0)
+
+
+def test_snapshot_matches_the_functions_with_one_passive_state(monkeypatch):
+    rho = np.array([[0.5, 0.2j, 0.0], [-0.2j, 0.3, 0.1], [0.0, 0.1, 0.2]])
+    states = (fock_state(0, 5), fock_state(3, 5), thermal_state(PARAMS), BatteryState.from_matrix(rho))
+    calls = []
+    passive = thermo.passive_state
+    monkeypatch.setattr(thermo, "passive_state", lambda s: calls.append(s) or passive(s))
+    for state in states:
+        calls.clear()
+        snap = snapshot(state, PARAMS)
+        assert len(calls) == 1
+        assert snap.ergotropy == ergotropy(state, PARAMS)
+        assert snap.ratio == ergotropy_ratio(state, PARAMS)
 
 
 def test_charging_power_matches_recorded_snapshots():

@@ -11,7 +11,7 @@ from qbattery.validate import (
 
 def test_all_checks_pass_on_a_fresh_build():
     results = run_all_checks(fast=True)
-    assert len(results) == 6
+    assert len(results) == 7
     for result in results:
         assert result.passed, result.line()
 
