@@ -15,7 +15,7 @@ Lindblad integrator for damped rounds, and a CLI that emits CSV
 artifacts for each standard experiment.
 """
 
-from .lindblad import DissipationParams, dissipative_protocol, integrate, lindblad_rhs, liouvillian
+from .lindblad import DissipationParams, dissipative_protocol, integrate, lindblad_rhs
 from .propagator import (
     BlockCoefficients,
     KrausSet,
@@ -104,7 +104,6 @@ __all__ = [
     "joint_unitary",
     "kraus_set",
     "lindblad_rhs",
-    "liouvillian",
     "mean_occupation",
     "occupation_variance",
     "passive_state",

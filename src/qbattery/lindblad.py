@@ -17,7 +17,7 @@ shifts k by the same amount on both sides of rho (a weak U(1) symmetry,
 Buca & Prosen, New J. Phys. 14, 073007 (2012)). ``integrate`` therefore
 evolves only the elements whose gap k_row - k_col occurs among the
 nonzero elements of the initial state, under the sparse superoperator
-from ``liouvillian``: 4(N+1) - 2 elements for a diagonal charger on a
+from ``_liouvillian``: 4(N+1) - 2 elements for a diagonal charger on a
 diagonal battery, about three times that for a coherent charger on a
 diagonal battery, nearly all of them for a battery with coherences.
 The elements left out stay exactly zero, as they do in a dense solve.
@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +53,10 @@ from .states import BatteryState, ChargerSpec, SystemParams, mean_occupation, th
 HERMITICITY_ATOL = 1e-10
 TRACE_ATOL = 1e-8
 POSITIVITY_ATOL = 1e-8
+
+# (params, diss, generator) that the running dissipative_protocol built
+# for its rounds; integrate uses it only when its own params and diss match.
+_PROTOCOL_GENERATOR: ContextVar[tuple | None] = ContextVar("protocol_generator", default=None)
 
 
 @dataclass(frozen=True)
@@ -126,12 +131,11 @@ def _rhs_factory(params: SystemParams, diss: DissipationParams):
     return rhs
 
 
-def liouvillian(params: SystemParams, diss: DissipationParams) -> sparse.csr_matrix:
+def _liouvillian(params: SystemParams, diss: DissipationParams) -> sparse.csr_matrix:
     """The generator as a sparse superoperator on ``rho.ravel()``.
 
     Row-major vectorization, vec(A rho B) = kron(A, B^T) vec(rho), on the
-    (2(N+1))^2 joint elements; build it once per run and pass it to
-    ``integrate``.
+    (2(N+1))^2 joint elements.
     """
     h = sparse.csr_matrix(joint_hamiltonian(params))
     eye = sparse.identity(h.shape[0], dtype=complex, format="csr")
@@ -174,15 +178,13 @@ def integrate(
     atol: float = 1e-9,
     method: str = "DOP853",
     check: bool = True,
-    generator: sparse.csr_matrix | None = None,
 ) -> np.ndarray:
     """Propagate the joint state over one interval with an adaptive
     embedded Runge-Kutta scheme.
 
     Only the excitation-gap bands that the initial state occupies are
-    integrated, under ``generator`` (``liouvillian(params, diss)``, built
-    here when not given), with ``rtol`` and ``atol`` scaled so that the
-    error norm equals that of a solve over every element.
+    integrated, with ``rtol`` and ``atol`` scaled so that the error norm
+    equals that of a solve over every element.
 
     The result is re-symmetrized; drifts in Hermiticity, trace, or
     positivity beyond their tolerances raise a warning rather than an
@@ -196,8 +198,11 @@ def integrate(
         raise ValueError(f"tau must be >= 0, got {tau}")
     if tau == 0.0:
         return rho0.copy()
-    if generator is None:
-        generator = liouvillian(params, diss)
+    built = _PROTOCOL_GENERATOR.get()
+    if built is not None and built[0] == params and built[1] == diss:
+        generator = built[2]
+    else:
+        generator = _liouvillian(params, diss)
     flat0 = rho0.ravel()
     gaps = _excitation_gaps(params.dim)
     support = np.flatnonzero(np.isin(gaps, np.unique(gaps[flat0 != 0])))
@@ -285,15 +290,17 @@ def dissipative_protocol(
         raise ValueError(f"unknown interval policy {interval_policy!r}")
     phi = qubit_spec.measured_state().astype(complex)
     rho_c = qubit_spec.density_matrix()
-    generator = liouvillian(params, diss)
 
     def take_round(state, tau):
-        evolved = integrate(np.kron(rho_c, state.matrix), tau, params, diss, rtol=rtol, atol=atol,
-                            generator=generator)
+        evolved = integrate(np.kron(rho_c, state.matrix), tau, params, diss, rtol=rtol, atol=atol)
         battery, prob = _project_qubit(evolved, phi, params.dim)
         if prob < ZERO_PROBABILITY_ATOL:
             raise ZeroProbabilityError(f"outcome probability {prob:.3e}")
         post = BatteryState.from_matrix(battery / prob, herm_atol=1e-8, clip=POSITIVITY_ATOL)
         return RoundRecord(post, prob, tau, scheme)
 
-    return _drive(initial, params, scheme, n_rounds, choose_tau, take_round, ZeroProbabilityError)
+    token = _PROTOCOL_GENERATOR.set((params, diss, _liouvillian(params, diss)))
+    try:
+        return _drive(initial, params, scheme, n_rounds, choose_tau, take_round, ZeroProbabilityError)
+    finally:
+        _PROTOCOL_GENERATOR.reset(token)

@@ -36,10 +36,12 @@ def ergotropy(state: BatteryState, params: SystemParams) -> float:
 
 def ergotropy_ratio(state: BatteryState, params: SystemParams) -> float:
     """Ergotropy over energy; reported as 0 for a zero-energy state."""
-    e = energy(state, params)
-    if e <= 0.0:
-        return 0.0
-    return ergotropy(state, params) / e
+    return _ratio(ergotropy(state, params), energy(state, params))
+
+
+def _ratio(ergotropy_value: float, energy_value: float) -> float:
+    """The ratio rule shared by ``ergotropy_ratio`` and ``snapshot``."""
+    return ergotropy_value / energy_value if energy_value > 0.0 else 0.0
 
 
 @dataclass(frozen=True)
@@ -68,7 +70,7 @@ def snapshot(
     return ThermoSnapshot(
         energy=e,
         ergotropy=extractable,
-        ratio=extractable / e if e > 0.0 else 0.0,
+        ratio=_ratio(extractable, e),
         power=power,
     )
 

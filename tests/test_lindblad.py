@@ -240,3 +240,34 @@ def test_integrate_matches_superoperator_exponential_on_random_sectors():
         evolved = integrate(rho0, tau, params, diss, rtol=1e-10, atol=1e-12)
         assert np.abs(evolved - exact).max() < 1e-8, case
         assert np.all(evolved[outside] == 0.0)
+
+
+def test_dissipative_protocol_builds_the_generator_once(monkeypatch):
+    import qbattery.lindblad as lindblad
+
+    built, integrated = [], []
+    build, step = lindblad._liouvillian, lindblad.integrate
+    monkeypatch.setattr(lindblad, "_liouvillian", lambda *a: built.append(a) or build(*a))
+    monkeypatch.setattr(lindblad, "integrate", lambda *a, **k: integrated.append(a) or step(*a, **k))
+    diss = DissipationParams.thermal(SMALL, 1e-3)
+    damped = dissipative_protocol(thermal_state(SMALL), SMALL, diss, "power_on", 3, "analytic")
+    assert len(damped.rounds) == len(integrated) == 3
+    assert len(built) == 1
+    # outside the protocol every integrate call builds its own generator
+    integrate(random_joint_state(SMALL), 1.0, SMALL, diss)
+    assert len(built) == 2
+
+
+def test_integrate_ignores_a_protocol_generator_for_other_parameters():
+    import qbattery.lindblad as lindblad
+
+    rho0 = random_joint_state(SMALL)
+    diss = DissipationParams.thermal(SMALL, 1e-2)
+    alone = integrate(rho0, 5.0, SMALL, diss)
+    token = lindblad._PROTOCOL_GENERATOR.set(
+        (SMALL, NO_DAMPING, lindblad._liouvillian(SMALL, NO_DAMPING)))
+    try:
+        inside = integrate(rho0, 5.0, SMALL, diss)
+    finally:
+        lindblad._PROTOCOL_GENERATOR.reset(token)
+    assert np.array_equal(inside, alone)
