@@ -271,3 +271,27 @@ def test_integrate_ignores_a_protocol_generator_for_other_parameters():
     finally:
         lindblad._PROTOCOL_GENERATOR.reset(token)
     assert np.array_equal(inside, alone)
+
+
+def test_restricted_generator_on_every_element_is_the_dense_superoperator():
+    import qbattery.lindblad as lindblad
+
+    diss = DissipationParams(gamma_b=3e-3, gamma_c=2e-3, nbar_th=0.7, nbar_th_c=0.2)
+    dim = 2 * SMALL.dim
+    full = lindblad._restricted(lindblad._liouvillian(SMALL, diss), np.arange(dim * dim))
+    assert np.abs(full.toarray() - dense_superoperator(SMALL, diss)).max() < 1e-15
+
+
+def test_restricted_generator_rejects_a_support_it_leaves():
+    import qbattery.lindblad as lindblad
+
+    # |g,0><g,1| is carried to |g,0><e,0|, which has the same gap but is left out
+    with pytest.raises(ValueError):
+        lindblad._restricted(lindblad._liouvillian(SMALL, NO_DAMPING), np.array([1]))
+
+
+def test_integrate_warns_on_a_negative_eigenvalue():
+    populations = np.zeros(2 * SMALL.dim)
+    populations[:2] = [1.01, -0.01]
+    with pytest.warns(UserWarning, match=r"positivity violation -1\.00e-02"):
+        integrate(np.diag(populations), 0.1, SMALL, NO_DAMPING)
