@@ -214,24 +214,22 @@ def cmd_sweep_theta_q(config: dict, out: Path) -> None:
     write_csv(out, ["theta", "q", "c", "ratio"], zip(theta, q, c, ratio))
 
 
-def _prepared_state(params: SystemParams, scheme: str, rounds_done: int, schedule: dict) -> tuple[BatteryState, float]:
-    """State after ``rounds_done`` optimally scheduled rounds, with the
-    cumulative probability accumulated so far."""
-    state = thermal_state(params)
-    if rounds_done == 0:
-        return state, 1.0
+def _prepared_states(initial: BatteryState, params: SystemParams, scheme: str, rounds: int,
+                     schedule: dict) -> tuple[list[tuple[BatteryState, float]], str | None]:
+    """``initial`` and the states after 1, 2, ... ``rounds`` optimally
+    scheduled rounds of one run, each with the cumulative probability
+    accumulated in round order, and the run's truncation reason when it
+    stopped early."""
     policy = "numeric" if scheme == "power_on" else "power_off_compromise"
     trajectory = run_protocol(
-        state, params, scheme, rounds_done, policy,
+        initial, params, scheme, rounds, policy,
         x=float(schedule["x"]), objective=schedule["objective"],
         tau_max=schedule["tau_max"], grid_points=int(schedule["grid_points"]),
     )
-    if trajectory.truncated:
-        raise ConfigError(
-            f"cannot prepare the round-{rounds_done + 1} state: "
-            f"{trajectory.truncation_reason}"
-        )
-    return trajectory.rounds[-1].post_state, trajectory.cumulative_probability
+    prepared = [(initial, 1.0)]
+    for rec in trajectory.rounds:
+        prepared.append((rec.post_state, prepared[-1][1] * rec.probability))
+    return prepared, trajectory.truncation_reason
 
 
 def cmd_interval_sweep(config: dict, out: Path) -> None:
@@ -247,9 +245,18 @@ def cmd_interval_sweep(config: dict, out: Path) -> None:
         raise ConfigError(f"interval_sweep needs a named scheme, got {scheme!r}")
     one_round = power_on_round if scheme == "power_on" else power_off_round
     taus = np.linspace(0.0, float(sweep["tau_max"]), int(sweep["tau_points"]) + 1)[1:]
+    m_values = [int(m) for m in sweep["m_values"]]
+    if any(m < 1 for m in m_values):
+        raise ConfigError(f"sweep.m_values must be >= 1, got {sweep['m_values']}")
+    prepared, reason = [(thermal_state(params), 1.0)], None
     rows = []
-    for m in sweep["m_values"]:
-        state, cumulative = _prepared_state(params, scheme, int(m) - 1, schedule)
+    for m in m_values:
+        if m > 1 and len(prepared) == 1:
+            # one run prepares every m, made where the first m > 1 needs it
+            prepared, reason = _prepared_states(prepared[0][0], params, scheme, max(m_values) - 1, schedule)
+        if m > len(prepared):
+            raise ConfigError(f"cannot prepare the round-{m} state: {reason}")
+        state, cumulative = prepared[m - 1]
         marker_analytic = tau_opt_analytic(state, params) if scheme == "power_on" else None
         if scheme == "power_on":
             marker_numeric = tau_opt_numeric(state, params, scheme)
@@ -265,7 +272,7 @@ def cmd_interval_sweep(config: dict, out: Path) -> None:
             except ZeroProbabilityError:
                 nbar = None
                 prob = round_probability(state, params, scheme, float(tau))
-            rows.append((scheme, int(m), float(tau), nbar, prob, marker_analytic, marker_numeric))
+            rows.append((scheme, m, float(tau), nbar, prob, marker_analytic, marker_numeric))
     write_csv(
         out,
         ["scheme", "m", "tau", "nbar", "prob", "tau_opt_analytic", "tau_opt_numeric"],

@@ -10,6 +10,7 @@ and the measured state j of the qubit.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -30,17 +31,33 @@ def rabi_frequency(params: SystemParams, n) -> float | np.ndarray:
     return np.sqrt(params.g**2 * np.asarray(n) + params.delta**2 / 4.0)
 
 
-def _rotation(params: SystemParams, tau, blocks: np.ndarray):
-    """O_n, ``tau`` reshaped to broadcast against them, and
-    sin(O_n tau)/O_n (limit tau as O_n -> 0) for the given blocks; a 1-D
-    array of T intervals gives shape (T, blocks), built in one buffer."""
+@functools.lru_cache(maxsize=8)
+def _ladder(n_levels: int, g: float, delta: float, omega_c: float, shift: int) -> tuple[np.ndarray, ...]:
+    """Read-only constants of blocks n = shift..N+shift that every interval
+    shares: O_n, a divisor equal to O_n (1 where O_n = 0), the mask
+    O_n == 0, and g^2 n. Keyed on plain fields, which hash faster than
+    SystemParams; omega_c is there only to rebuild valid params."""
+    params = SystemParams(n_levels, g, delta, omega_c)
+    blocks = np.arange(params.dim) + shift
     omega = rabi_frequency(params, blocks)
+    ladder = (omega, np.where(omega > 0.0, omega, 1.0), omega == 0.0, params.g**2 * blocks)
+    for array in ladder:
+        array.flags.writeable = False
+    return ladder
+
+
+def _rotation(params: SystemParams, tau, shift: int):
+    """The ladder of blocks shift..N+shift, ``tau`` reshaped to broadcast
+    against it, and sin(O_n tau)/O_n (limit tau as O_n -> 0); a 1-D array
+    of T intervals gives shape (T, N+1), built in one buffer."""
+    ladder = _ladder(params.n_levels, params.g, params.delta, params.omega_c, shift)
+    omega, divisor, zero, _ = ladder
     tau = np.asarray(tau, dtype=float)[..., None]
     s = np.multiply(omega, tau)
     np.sin(s, out=s)
-    np.divide(s, np.where(omega > 0.0, omega, 1.0), out=s)
-    np.copyto(s, tau, where=omega == 0.0)
-    return omega, tau, s
+    np.divide(s, divisor, out=s)
+    np.copyto(s, tau, where=zero)
+    return ladder, tau, s
 
 
 def _amplitude_vectors(params: SystemParams, tau) -> tuple[np.ndarray, np.ndarray]:
@@ -53,10 +70,9 @@ def _amplitude_vectors(params: SystemParams, tau) -> tuple[np.ndarray, np.ndarra
     swap[0] = 0 since level 0 has no partner below it. A 1-D array of
     intervals gives shape (T, N+1).
     """
-    n = np.arange(params.dim)
-    omega, tau, s = _rotation(params, tau, n)
+    (omega, *_), tau, s = _rotation(params, tau, 0)
     stay = np.cos(omega * tau) + 0.5j * params.delta * s
-    swap = -1j * np.exp(-0.5j * params.delta * tau) * params.g * np.sqrt(n) * s
+    swap = -1j * np.exp(-0.5j * params.delta * tau) * params.g * np.sqrt(np.arange(params.dim)) * s
     return stay, swap
 
 
@@ -66,11 +82,10 @@ def _map_weights(params: SystemParams, tau, kind: str) -> np.ndarray:
     g^2 n s_n^2 for eg and |swap_{n+1}|^2 for ge, |stay_n|^2 = cos^2(O_n tau)
     + (delta s_n/2)^2 for gg, and |stay_{n+1}|^2 then the uncoupled top
     level's 1 for ee."""
-    blocks = np.arange(params.dim) + (kind in ("ge", "ee"))
-    omega, tau, s = _rotation(params, tau, blocks)
+    (omega, _, _, g2n), tau, s = _rotation(params, tau, int(kind in ("ge", "ee")))
     if kind in ("eg", "ge"):
         np.square(s, out=s)
-        s *= params.g**2 * blocks
+        s *= g2n
         return s
     stay = np.cos(omega * tau) ** 2 + (0.5 * params.delta * s) ** 2
     if kind == "ee":
@@ -82,13 +97,13 @@ def _diagonal_map(kind: str, weights: np.ndarray, populations: np.ndarray) -> np
     """Unnormalized populations after the map of one Kraus kind: eg moves
     p_{n-1} up to level n, ge moves p_{n+1} down, gg and ee keep levels in
     place, each times the weight of the level it lands on. ``weights``
-    (which may carry an interval axis) is overwritten with the result."""
+    may carry an interval axis and may be a read-only cached grid, so the
+    result is a fresh array."""
     if kind == "eg":
         populations = np.concatenate([[0.0], populations[:-1]])
     elif kind == "ge":
         populations = np.concatenate([populations[1:], [0.0]])
-    weights *= populations
-    return weights
+    return weights * populations
 
 
 @dataclass(frozen=True)

@@ -17,13 +17,14 @@ seeded restart-on-failure simulation for demonstrations.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .propagator import ZeroProbabilityError
-from .rounds import RoundRecord, _named_populations, general_round, power_off_round, power_on_round
+from .propagator import ZeroProbabilityError, _diagonal_map, _map_weights
+from .rounds import _NAMED_SCHEMES, RoundRecord, _named_populations, general_round, power_off_round, power_on_round
 from .states import BatteryState, ChargerSpec, SystemParams, mean_occupation
 from .thermo import energy, snapshot
 
@@ -95,12 +96,40 @@ def _golden_max(f, lo: float, hi: float, rel_tol: float = 1e-6) -> float:
     return 0.5 * (a + b)
 
 
-def _tau_grid(params: SystemParams, tau_max: float | None, grid_points: int) -> np.ndarray:
-    """Uniform grid on (0, tau_max]; the default span covers the first
-    few swap lobes of every relevant block."""
+def _tau_grid(
+    state: BatteryState, params: SystemParams, scheme: str, tau_max: float | None, grid_points: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Uniform grid on (0, tau_max] and the unnormalized populations after
+    a round of ``scheme`` at each interval, shape (grid_points, N+1). The
+    default span covers the first few swap lobes of every relevant block.
+    The map weights depend on the ladder, g, delta and the grid but not on
+    the state, so they are built once per grid and each call is a single
+    product with the shifted populations."""
+    if scheme not in _NAMED_SCHEMES:
+        raise ValueError(f"no closed-form probability for scheme {scheme!r}")
     if tau_max is None:
         tau_max = 2.0 * math.pi / params.g
-    return np.linspace(0.0, tau_max, grid_points + 1)[1:]
+    if not grid_points >= 1:
+        raise ValueError(f"grid_points must be >= 1, got {grid_points}")
+    if not (math.isfinite(tau_max) and tau_max > 0.0):
+        raise ValueError(f"tau_max must be finite and > 0, got {tau_max}")
+    kind = _NAMED_SCHEMES[scheme][0]
+    taus, weights = _grid_weights(
+        params.n_levels, params.g, params.delta, params.omega_c, kind, tau_max, grid_points
+    )
+    return taus, _diagonal_map(kind, weights, state.populations)
+
+
+@functools.lru_cache(maxsize=4)
+def _grid_weights(n_levels: int, g: float, delta: float, omega_c: float, kind: str,
+                  tau_max: float, grid_points: int) -> tuple[np.ndarray, np.ndarray]:
+    """The grid and its read-only map weights for ``_tau_grid``, keyed on
+    plain fields (see ``propagator._ladder``); one N=400 grid holds 1.3 MB."""
+    taus = np.linspace(0.0, tau_max, grid_points + 1)[1:]
+    weights = _map_weights(SystemParams(n_levels, g, delta, omega_c), taus, kind)
+    taus.flags.writeable = False
+    weights.flags.writeable = False
+    return taus, weights
 
 
 def round_probability(
@@ -146,9 +175,8 @@ def tau_opt_numeric(
     Grid argmax refined by golden-section search between the two
     neighboring grid points.
     """
-    taus = _tau_grid(params, tau_max, grid_points)
-    probs = round_probability(state, params, scheme, taus)
-    i = int(probs.argmax())
+    taus, out = _tau_grid(state, params, scheme, tau_max, grid_points)
+    i = int(out.sum(axis=-1).argmax())
     lo = taus[i - 1] if i > 0 else taus[i] / 2.0
     hi = taus[i + 1] if i + 1 < taus.size else taus[i]
     return _golden_max(lambda t: round_probability(state, params, scheme, t), lo, hi, rel_tol)
@@ -169,19 +197,27 @@ def power_off_objective(
     including it. Positive only for intervals that actually charge. A
     1-D array of intervals gives one value per interval.
     """
-    p = state.populations
-    out = _named_populations(p, params, tau, "power_off")
+    value = _compromise(
+        state, _named_populations(state.populations, params, tau, "power_off"),
+        cumulative_p, x, objective,
+    )
+    return float(value) if value.ndim == 0 else value
+
+
+def _compromise(state: BatteryState, out: np.ndarray, cumulative_p: float, x: float,
+                objective: str) -> np.ndarray:
+    """``power_off_objective`` from the unnormalized post-round
+    populations ``out``, which it overwrites."""
     prob = out.sum(axis=-1)
     weight = cumulative_p * prob if objective == "cumulative" else prob
     with np.errstate(divide="ignore", invalid="ignore"):
         # a row sum rather than a dot product, so that a grid of intervals
         # and the scalar refinement round alike
-        out *= np.arange(p.size)
+        out *= np.arange(state.populations.size)
         ratio = out.sum(axis=-1) / prob / mean_occupation(state)
         value = np.exp(x * weight) * np.log(ratio) / np.log(x)
     # no outcome, or everything landed on level 0
-    value = np.where((prob > 0.0) & (ratio > 0.0), value, -np.inf)
-    return float(value) if value.ndim == 0 else value
+    return np.where((prob > 0.0) & (ratio > 0.0), value, -np.inf)
 
 
 def tau_opt_power_off(
@@ -205,8 +241,8 @@ def tau_opt_power_off(
         raise NoChargingError("state has no excited population to work with")
     if x <= 1.0:
         raise ValueError(f"the balance index x must exceed 1, got {x}")
-    taus = _tau_grid(params, tau_max, grid_points)
-    vals = power_off_objective(state, params, taus, cumulative_p, x, objective)
+    taus, out = _tau_grid(state, params, "power_off", tau_max, grid_points)
+    vals = _compromise(state, out, cumulative_p, x, objective)
     if not (vals > 0.0).any():
         raise NoChargingError("no candidate interval raises the mean population")
     i = int(vals.argmax())
@@ -244,6 +280,8 @@ def _drive(
     for m in range(1, n_rounds + 1):
         try:
             tau = choose_tau(state, cumulative, m)
+            if not (math.isfinite(tau) and tau >= 0.0):
+                raise ValueError(f"round {m}: interval {tau!r} must be finite and >= 0")
             rec = take_round(state, tau)
         except (ZeroProbabilityError, NoChargingError) as err:
             reason = f"round {m}: {err}"

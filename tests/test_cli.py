@@ -185,6 +185,68 @@ def test_interval_sweep_outputs(tmp_path):
     )
 
 
+def test_interval_sweep_prepares_every_m_from_one_run(tmp_path, monkeypatch):
+    from qbattery import cli
+    from qbattery.scheduler import run_protocol, tau_opt_numeric
+    from qbattery.states import thermal_state
+
+    lengths = []
+
+    def counted(*args, **kwargs):
+        lengths.append(args[3])
+        return run_protocol(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_protocol", counted)
+    out = tmp_path / "interval.csv"
+    code = main([
+        "interval_sweep", "--out", str(out),
+        "--set", "params.n_levels=30",
+        "--set", "sweep.m_values=[4,1,3]",
+        "--set", "sweep.tau_points=5",
+    ])
+    assert code == 0 and lengths == [3]
+    _, rows = read_csv(out)
+    params = cli._build_params(cli.load_config("interval_sweep", None, ["params.n_levels=30"]))
+    for m in (4, 1, 3):
+        state = thermal_state(params)
+        if m > 1:
+            state = run_protocol(state, params, "power_on", m - 1, "numeric").rounds[-1].post_state
+        markers = {r[6] for r in rows if r[1] == str(m)}
+        assert markers == {repr(float(tau_opt_numeric(state, params)))}
+
+
+@pytest.mark.parametrize("m_values", ["[20,1]", "[1,7,20,3]"])
+def test_interval_sweep_past_a_truncation_is_a_config_error(tmp_path, capsys, m_values):
+    # the cumulative objective stalls the power-off run at round 15
+    code = main([
+        "interval_sweep", "--out", str(tmp_path / "x.csv"),
+        "--set", "schedule.scheme=power_off",
+        "--set", "schedule.objective=cumulative",
+        "--set", f"sweep.m_values={m_values}",
+        "--set", "sweep.tau_points=5",
+    ])
+    assert code == 1
+    assert "cannot prepare the round-20 state: round 15:" in capsys.readouterr().err
+    assert main(["interval_sweep", "--out", str(tmp_path / "x.csv"), "--set", "sweep.m_values=[0]"]) == 1
+
+
+@pytest.mark.parametrize("command, sets, message", [
+    ("power_on", ("schedule.policy=numeric", "schedule.tau_max=-5"), "tau_max"),
+    ("power_on", ("schedule.policy=numeric", "schedule.grid_points=0"), "grid_points"),
+    ("power_on", ("schedule.policy=fixed", "schedule.fixed_tau=-2"), "interval -2"),
+    ("power_off", ("schedule.grid_points=0",), "grid_points"),
+    ("power_off", ("schedule.tau_max=-5",), "tau_max"),
+    ("interval_sweep", ("schedule.tau_max=-5",), "tau_max"),
+])
+def test_invalid_interval_settings_fail_the_run(tmp_path, capsys, command, sets, message):
+    argv = [command, "--out", str(tmp_path / "x.csv"), "--set", "params.n_levels=20"]
+    for assignment in sets:
+        argv += ["--set", assignment]
+    assert main(argv) == 3
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_histograms_command(tmp_path):
     out = tmp_path / "hist.csv"
     code = main([

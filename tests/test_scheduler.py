@@ -271,3 +271,148 @@ def test_sample_protocol_raises_past_max_attempts(monkeypatch, round_probability
     with pytest.raises(RuntimeError):
         # seed 0 draws 3 attempts at p = 0.25
         sample_protocol(state, params, "power_on", 2, seed=0, max_attempts=2)
+
+
+def _fresh_tau(state, params, scheme, tau_max, grid_points, cumulative=1.0, objective="per_round"):
+    """The optimizers' interval, scored from weights built afresh by
+    ``_map_weights`` on every call rather than from the cached grid."""
+    from qbattery.scheduler import _golden_max
+
+    if scheme == "power_on":
+        f = lambda t: round_probability(state, params, scheme, t)
+    else:
+        f = lambda t: power_off_objective(state, params, t, cumulative, 10.0, objective)
+    taus = np.linspace(0.0, 2.0 * math.pi / params.g if tau_max is None else tau_max, grid_points + 1)[1:]
+    values = f(taus)
+    if scheme == "power_off" and not (values > 0.0).any():
+        return None
+    i = int(values.argmax())
+    lo = taus[i - 1] if i > 0 else taus[i] / 2.0
+    hi = taus[i + 1] if i + 1 < taus.size else taus[i]
+    return _golden_max(f, lo, hi, 1e-6)
+
+
+def _optimized_tau(state, params, scheme, tau_max, grid_points, cumulative=1.0, objective="per_round"):
+    if scheme == "power_on":
+        return tau_opt_numeric(state, params, scheme, tau_max, grid_points)
+    try:
+        return tau_opt_power_off(state, params, cumulative, 10.0, tau_max, grid_points, objective)
+    except NoChargingError:
+        return None
+
+
+def test_cached_grid_gives_bit_identical_intervals_randomized():
+    # few ladders and grids against many couplings, so that a cache key
+    # missing a field would hand one case another case's weights
+    rng = np.random.default_rng(11)
+    for _ in range(60):
+        params = SystemParams(
+            n_levels=int(rng.choice([5, 30, 100])),
+            g=float(rng.choice([0.03, 0.04, 0.05])),
+            delta=float(rng.choice([0.0, 0.02, -0.03])),
+            beta=float(rng.uniform(0.02, 1.0)),
+        )
+        state = thermal_state(params)
+        if rng.uniform() < 0.5:
+            state = BatteryState.diagonal(rng.dirichlet(np.ones(params.dim)))
+        case = (
+            state, params, str(rng.choice(["power_on", "power_off"])),
+            rng.choice([None, 80.0, 250.0]), int(rng.choice([1, 2, 50, 400])),
+            float(rng.uniform(0.05, 1.0)), str(rng.choice(["per_round", "cumulative"])),
+        )
+        expected = _fresh_tau(*case)
+        # the second call reads the grid the first one cached
+        assert _optimized_tau(*case) == expected
+        assert _optimized_tau(*case) == expected
+
+
+def test_cached_arrays_are_read_only():
+    from qbattery.propagator import _ladder
+    from qbattery.scheduler import _grid_weights, _tau_grid
+
+    taus, weights = _grid_weights(100, 0.04, 0.02, 1.0, "eg", 150.0, 400)
+    for array in (taus, weights, *_ladder(100, 0.04, 0.02, 1.0, 1)):
+        with pytest.raises(ValueError, match="read-only"):
+            array[..., 0] = 0
+    # a round scored from the grid gets a fresh product
+    before = weights.copy()
+    _, out = _tau_grid(thermal_state(WARM), WARM, "power_on", 150.0, 400)
+    assert out.flags.writeable and not np.shares_memory(out, weights)
+    np.testing.assert_array_equal(weights, before)
+
+
+@pytest.mark.parametrize("other", [
+    SystemParams(n_levels=100, g=0.05, delta=0.02, beta=0.05),
+    SystemParams(n_levels=60, g=0.04, delta=0.02, beta=0.05),
+])
+def test_params_differing_in_g_or_ladder_never_share_weights(other):
+    from qbattery.propagator import _map_weights
+    from qbattery.scheduler import _grid_weights
+
+    def closed_form(params, taus):
+        n = np.arange(params.dim)
+        omega = np.sqrt(params.g**2 * n + params.delta**2 / 4.0)
+        return params.g**2 * n * (np.sin(omega * taus[:, None]) / omega) ** 2
+
+    grids = {}
+    for params in (WARM, other, WARM, other):
+        taus, weights = _grid_weights(params.n_levels, params.g, params.delta, params.omega_c,
+                                      "eg", 120.0, 50)
+        np.testing.assert_allclose(weights, closed_form(params, taus), rtol=1e-12, atol=1e-300)
+        np.testing.assert_array_equal(weights, _map_weights(params, taus, "eg"))
+        grids.setdefault(params, weights)
+        assert grids[params] is weights
+    assert grids[WARM] is not grids[other]
+
+
+def test_round_between_optimizations_leaves_the_cache_unchanged():
+    from qbattery import power_on_round
+    from qbattery.propagator import _ladder
+    from qbattery.scheduler import _grid_weights
+
+    state = thermal_state(WARM)
+    tau = tau_opt_numeric(state, WARM)
+    taus, weights = _grid_weights(WARM.n_levels, WARM.g, WARM.delta, WARM.omega_c,
+                                  "eg", 2.0 * math.pi / WARM.g, 400)
+    ladder = _ladder(WARM.n_levels, WARM.g, WARM.delta, WARM.omega_c, 0)
+    saved = [a.copy() for a in (taus, weights, *ladder)]
+    grid_info, ladder_info = _grid_weights.cache_info(), _ladder.cache_info()
+    post = power_on_round(state, WARM, tau).post_state
+    assert _grid_weights.cache_info() == grid_info
+    assert _ladder.cache_info().misses == ladder_info.misses
+    for array, copy in zip((taus, weights, *ladder), saved):
+        np.testing.assert_array_equal(array, copy)
+    assert tau_opt_numeric(post, WARM) == _fresh_tau(post, WARM, "power_on", None, 400)
+    assert _grid_weights.cache_info().hits == grid_info.hits + 1
+
+
+@pytest.mark.parametrize("tau_max, grid_points, match", [
+    (-5.0, 400, "tau_max"), (0.0, 400, "tau_max"), (math.inf, 400, "tau_max"),
+    (math.nan, 400, "tau_max"), (None, 0, "grid_points"), (None, -3, "grid_points"),
+])
+def test_invalid_interval_grid_is_rejected(tau_max, grid_points, match):
+    state = thermal_state(WARM)
+    with pytest.raises(ValueError, match=match):
+        tau_opt_numeric(state, WARM, "power_on", tau_max, grid_points)
+    # not a NoChargingError: the grid is at fault, not the state
+    with pytest.raises(ValueError, match=match):
+        tau_opt_power_off(state, WARM, tau_max=tau_max, grid_points=grid_points)
+    with pytest.raises(ValueError, match=match):
+        run_protocol(state, WARM, "power_on", 3, "numeric", tau_max=tau_max, grid_points=grid_points)
+
+
+@pytest.mark.parametrize("tau", [-2.0, -1e-300, math.inf, math.nan])
+def test_drive_rejects_an_invalid_interval(tau):
+    from qbattery import DissipationParams, dissipative_protocol
+
+    state = thermal_state(WARM)
+    for scheme in ("power_on", "power_off"):
+        with pytest.raises(ValueError, match="round 1: interval"):
+            run_protocol(state, WARM, scheme, 3, "fixed", fixed_tau=tau)
+    small = SystemParams(n_levels=4, g=0.04, delta=0.02, beta=0.5)
+    diss = DissipationParams.thermal(small, gamma_b=1e-3)
+    with pytest.raises(ValueError, match="round 1: interval"):
+        dissipative_protocol(thermal_state(small), small, diss, "power_on", 2, "fixed", fixed_tau=tau)
+    with pytest.raises(ValueError, match="round 2: interval"):
+        dissipative_protocol(thermal_state(small), small, diss, "power_on", 2, "schedule",
+                             tau_schedule=[8.0, tau])

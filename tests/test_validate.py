@@ -1,5 +1,10 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import qbattery
 
 from qbattery import KrausSet, SystemParams, kraus_set
 from qbattery.validate import (
@@ -33,3 +38,25 @@ def test_check_result_reporting():
     assert good.passed and not bad.passed
     assert good.line().startswith("[PASS]")
     assert bad.line().startswith("[FAIL]")
+
+
+def test_only_validate_imports_scipy_linalg():
+    # scipy ships its own OpenBLAS next to numpy's; a scipy.linalg call on
+    # a hot path makes the two thread pools contend (a hot-path Cholesky
+    # once made a damped round's solve_ivp 4x slower)
+    offenders = []
+    for path in sorted(Path(qbattery.__file__).parent.glob("*.py")):
+        if path.name == "validate.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [f"{node.module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                names = [f"{node.value.id}.{node.attr}"]  # after a bare ``import scipy``
+            else:
+                continue
+            if any(name == "scipy.linalg" or name.startswith("scipy.linalg.") for name in names):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
