@@ -248,6 +248,7 @@ def cmd_interval_sweep(config: dict, out: Path) -> None:
     m_values = [int(m) for m in sweep["m_values"]]
     if any(m < 1 for m in m_values):
         raise ConfigError(f"sweep.m_values must be >= 1, got {sweep['m_values']}")
+    grid = dict(tau_max=schedule["tau_max"], grid_points=int(schedule["grid_points"]))
     prepared, reason = [(thermal_state(params), 1.0)], None
     rows = []
     for m in m_values:
@@ -259,11 +260,11 @@ def cmd_interval_sweep(config: dict, out: Path) -> None:
         state, cumulative = prepared[m - 1]
         marker_analytic = tau_opt_analytic(state, params) if scheme == "power_on" else None
         if scheme == "power_on":
-            marker_numeric = tau_opt_numeric(state, params, scheme)
+            marker_numeric = tau_opt_numeric(state, params, scheme, **grid)
         else:
             marker_numeric = tau_opt_power_off(
                 state, params, cumulative, x=float(schedule["x"]),
-                objective=schedule["objective"],
+                objective=schedule["objective"], **grid,
             )
         for tau in taus:
             try:

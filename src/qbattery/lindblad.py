@@ -21,6 +21,8 @@ that ``_restricted`` assembles on just those elements from the Kronecker
 factors of ``_liouvillian``: 4(N+1) - 2 elements for a diagonal charger on a
 diagonal battery, about three times that for a coherent charger on a
 diagonal battery, nearly all of them for a battery with coherences.
+The factors depend only on (params, diss), so they are built once per
+pair and cached read-only; each round assembles its own support.
 The elements left out stay exactly zero, as they do in a dense solve.
 The adaptive solver's error norm is an RMS over the solved vector, so
 the tolerances are scaled by sqrt(total / solved); that reproduces the
@@ -31,9 +33,9 @@ side survives behind ``lindblad_rhs`` as the oracle.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
-from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,17 +50,12 @@ from .propagator import (
     qubit_lowering,
 )
 from .rounds import RoundRecord
-from .scheduler import Trajectory, _drive, quarter_period
+from .scheduler import Trajectory, _drive, _fixed_or_analytic
 from .states import BatteryState, ChargerSpec, SystemParams, mean_occupation, thermal_state
 
 HERMITICITY_ATOL = 1e-10
 TRACE_ATOL = 1e-8
 POSITIVITY_ATOL = 1e-8
-
-# (params, diss, Kronecker factors) that the running dissipative_protocol
-# built for its rounds; integrate uses them only when its own params and
-# diss match.
-_PROTOCOL_GENERATOR: ContextVar[tuple | None] = ContextVar("protocol_generator", default=None)
 
 
 @dataclass(frozen=True)
@@ -71,6 +68,9 @@ class DissipationParams:
     nbar_th_c: float
 
     def __post_init__(self):
+        values = (self.gamma_b, self.gamma_c, self.nbar_th, self.nbar_th_c)
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError(f"damping rates and bath occupations must be finite, got {values}")
         if self.gamma_b < 0 or self.gamma_c < 0:
             raise ValueError("damping rates must be >= 0")
         if self.nbar_th < 0 or self.nbar_th_c < 0:
@@ -134,9 +134,11 @@ def _rhs_factory(params: SystemParams, diss: DissipationParams):
     return rhs
 
 
-def _liouvillian(params: SystemParams, diss: DissipationParams) -> list[tuple]:
+@functools.lru_cache(maxsize=4)
+def _liouvillian(params: SystemParams, diss: DissipationParams) -> tuple[tuple, ...]:
     """The generator as Kronecker factors: the sum of kron(A, B) over the
-    returned (A, B) pairs of sparse matrices.
+    returned (A, B) pairs of sparse matrices, whose arrays are read-only
+    because every caller with the same (params, diss) shares them.
 
     Row-major vectorization, vec(A rho B) = kron(A, B^T) vec(rho), on the
     (2(N+1))^2 joint elements. With K = -iH - sum rate L+L / 2 the
@@ -148,7 +150,11 @@ def _liouvillian(params: SystemParams, diss: DissipationParams) -> list[tuple]:
         k = k - 0.5 * rate * opop
     eye = sparse.identity(k.shape[0], dtype=complex, format="csr")
     terms = [(k.tocsr(), eye), (eye, k.conj().tocsr())]
-    return terms + [((rate * op).tocsr(), op.conj().tocsr()) for rate, op, _ in jumps]
+    terms += [((rate * op).tocsr(), op.conj().tocsr()) for rate, op, _ in jumps]
+    for factor in (m for pair in terms for m in pair):
+        for array in (factor.data, factor.indices, factor.indptr):
+            array.flags.writeable = False
+    return tuple(terms)
 
 
 def _csr_rows(m: sparse.csr_matrix, rows: np.ndarray):
@@ -160,7 +166,7 @@ def _csr_rows(m: sparse.csr_matrix, rows: np.ndarray):
     return np.repeat(np.arange(rows.size), counts), m.indices[pos], m.data[pos]
 
 
-def _restricted(terms: list[tuple], support: np.ndarray) -> sparse.csr_matrix:
+def _restricted(terms: tuple[tuple, ...], support: np.ndarray) -> sparse.csr_matrix:
     """The generator's rows and columns ``support`` (sorted raveled indices
     of a union of excitation-gap bands), assembled without the rest."""
     n = terms[0][0].shape[0]
@@ -208,11 +214,10 @@ def integrate(
     diss: DissipationParams,
     rtol: float = 1e-7,
     atol: float = 1e-9,
-    method: str = "DOP853",
     check: bool = True,
 ) -> np.ndarray:
-    """Propagate the joint state over one interval with an adaptive
-    embedded Runge-Kutta scheme.
+    """Propagate the joint state over one interval with the adaptive
+    embedded Runge-Kutta scheme DOP853.
 
     Only the excitation-gap bands that the initial state occupies are
     integrated, with ``rtol`` and ``atol`` scaled so that the error norm
@@ -230,18 +235,13 @@ def integrate(
         raise ValueError(f"tau must be >= 0, got {tau}")
     if tau == 0.0:
         return rho0.copy()
-    built = _PROTOCOL_GENERATOR.get()
-    if built is not None and built[0] == params and built[1] == diss:
-        generator = built[2]
-    else:
-        generator = _liouvillian(params, diss)
     flat0 = rho0.ravel()
     gaps = _excitation_gaps(params.dim)
     support = np.flatnonzero(np.isin(gaps, np.unique(gaps[flat0 != 0])))
-    sub = _restricted(generator, support)
+    sub = _restricted(_liouvillian(params, diss), support)
     scale = math.sqrt(flat0.size / support.size)
     sol = solve_ivp(
-        lambda t, y: sub @ y, (0.0, tau), flat0[support], method=method,
+        lambda t, y: sub @ y, (0.0, tau), flat0[support], method="DOP853",
         rtol=rtol * scale, atol=atol * scale, dense_output=False,
     )
     if not sol.success:
@@ -311,15 +311,8 @@ def dissipative_protocol(
     qubit_spec = qubit_specs[scheme]
     if qubit_spec is None:
         raise ValueError("the general scheme needs a ChargerSpec")
-    if interval_policy == "analytic":
-        if scheme != "power_on":
-            raise ValueError("the analytic interval formula applies to the power_on scheme")
-        # mean-based form: damped states may carry coherence dust
-        choose_tau = lambda state, cumulative, m: quarter_period(params, mean_occupation(state))
-    elif interval_policy == "fixed":
-        if fixed_tau is None:
-            raise ValueError("fixed policy needs fixed_tau")
-        choose_tau = lambda state, cumulative, m: fixed_tau
+    if interval_policy in ("fixed", "analytic"):
+        choose_tau = _fixed_or_analytic(interval_policy, scheme, params, fixed_tau)
     elif interval_policy == "schedule":
         if tau_schedule is None or len(tau_schedule) < n_rounds:
             raise ValueError("schedule policy needs a tau per round")
@@ -337,8 +330,4 @@ def dissipative_protocol(
         post = BatteryState.from_matrix(battery / prob, herm_atol=1e-8, clip=POSITIVITY_ATOL)
         return RoundRecord(post, prob, tau, scheme)
 
-    token = _PROTOCOL_GENERATOR.set((params, diss, _liouvillian(params, diss)))
-    try:
-        return _drive(initial, params, scheme, n_rounds, choose_tau, take_round, ZeroProbabilityError)
-    finally:
-        _PROTOCOL_GENERATOR.reset(token)
+    return _drive(initial, params, scheme, n_rounds, choose_tau, take_round, ZeroProbabilityError)

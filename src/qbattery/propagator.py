@@ -32,12 +32,10 @@ def rabi_frequency(params: SystemParams, n) -> float | np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _ladder(n_levels: int, g: float, delta: float, omega_c: float, shift: int) -> tuple[np.ndarray, ...]:
+def _ladder(params: SystemParams, shift: int) -> tuple[np.ndarray, ...]:
     """Read-only constants of blocks n = shift..N+shift that every interval
     shares: O_n, a divisor equal to O_n (1 where O_n = 0), the mask
-    O_n == 0, and g^2 n. Keyed on plain fields, which hash faster than
-    SystemParams; omega_c is there only to rebuild valid params."""
-    params = SystemParams(n_levels, g, delta, omega_c)
+    O_n == 0, and g^2 n."""
     blocks = np.arange(params.dim) + shift
     omega = rabi_frequency(params, blocks)
     ladder = (omega, np.where(omega > 0.0, omega, 1.0), omega == 0.0, params.g**2 * blocks)
@@ -50,7 +48,7 @@ def _rotation(params: SystemParams, tau, shift: int):
     """The ladder of blocks shift..N+shift, ``tau`` reshaped to broadcast
     against it, and sin(O_n tau)/O_n (limit tau as O_n -> 0); a 1-D array
     of T intervals gives shape (T, N+1), built in one buffer."""
-    ladder = _ladder(params.n_levels, params.g, params.delta, params.omega_c, shift)
+    ladder = _ladder(params, shift)
     omega, divisor, zero, _ = ladder
     tau = np.asarray(tau, dtype=float)[..., None]
     s = np.multiply(omega, tau)

@@ -114,19 +114,17 @@ def _tau_grid(
     if not (math.isfinite(tau_max) and tau_max > 0.0):
         raise ValueError(f"tau_max must be finite and > 0, got {tau_max}")
     kind = _NAMED_SCHEMES[scheme][0]
-    taus, weights = _grid_weights(
-        params.n_levels, params.g, params.delta, params.omega_c, kind, tau_max, grid_points
-    )
+    taus, weights = _grid_weights(params, kind, tau_max, grid_points)
     return taus, _diagonal_map(kind, weights, state.populations)
 
 
-@functools.lru_cache(maxsize=4)
-def _grid_weights(n_levels: int, g: float, delta: float, omega_c: float, kind: str,
-                  tau_max: float, grid_points: int) -> tuple[np.ndarray, np.ndarray]:
-    """The grid and its read-only map weights for ``_tau_grid``, keyed on
-    plain fields (see ``propagator._ladder``); one N=400 grid holds 1.3 MB."""
+@functools.lru_cache(maxsize=8)
+def _grid_weights(params: SystemParams, kind: str, tau_max: float,
+                  grid_points: int) -> tuple[np.ndarray, np.ndarray]:
+    """The grid and its read-only map weights for ``_tau_grid``; one N=400
+    grid holds 1.3 MB."""
     taus = np.linspace(0.0, tau_max, grid_points + 1)[1:]
-    weights = _map_weights(SystemParams(n_levels, g, delta, omega_c), taus, kind)
+    weights = _map_weights(params, taus, kind)
     taus.flags.writeable = False
     weights.flags.writeable = False
     return taus, weights
@@ -145,21 +143,15 @@ def round_probability(
     return float(prob) if prob.ndim == 0 else prob
 
 
-def quarter_period(params: SystemParams, nbar: float) -> float:
-    """pi / (2 g sqrt(nbar + 1)), the interval that completes a quarter
-    swap cycle of the block at mean population nbar."""
-    return math.pi / (2.0 * params.g * math.sqrt(nbar + 1.0))
-
-
 def tau_opt_analytic(state: BatteryState, params: SystemParams) -> float:
     """Quarter period of the block at the current mean population.
 
     tau = pi / (2 g sqrt(nbar + 1)); the detuning correction enters only
-    at second order and is dropped. Strictly decreasing in nbar.
+    at second order and is dropped. Strictly decreasing in nbar. The mean
+    is that of the populations, so a state with coherences (a damped
+    round's output, say) gets the interval of its diagonal.
     """
-    if not state.is_diagonal:
-        raise ValueError("tau_opt_analytic requires a diagonal state")
-    return quarter_period(params, mean_occupation(state))
+    return math.pi / (2.0 * params.g * math.sqrt(mean_occupation(state) + 1.0))
 
 
 def tau_opt_numeric(
@@ -168,7 +160,6 @@ def tau_opt_numeric(
     scheme: str = "power_on",
     tau_max: float | None = None,
     grid_points: int = 400,
-    rel_tol: float = 1e-6,
 ) -> float:
     """Interval maximizing the round's measurement probability.
 
@@ -179,7 +170,7 @@ def tau_opt_numeric(
     i = int(out.sum(axis=-1).argmax())
     lo = taus[i - 1] if i > 0 else taus[i] / 2.0
     hi = taus[i + 1] if i + 1 < taus.size else taus[i]
-    return _golden_max(lambda t: round_probability(state, params, scheme, t), lo, hi, rel_tol)
+    return _golden_max(lambda t: round_probability(state, params, scheme, t), lo, hi)
 
 
 def power_off_objective(
@@ -228,7 +219,6 @@ def tau_opt_power_off(
     tau_max: float | None = None,
     grid_points: int = 400,
     objective: str = "per_round",
-    rel_tol: float = 1e-6,
 ) -> float:
     """Compromise interval for a power-off round.
 
@@ -249,9 +239,20 @@ def tau_opt_power_off(
     lo = taus[i - 1] if i > 0 else taus[i] / 2.0
     hi = taus[i + 1] if i + 1 < taus.size else taus[i]
     return _golden_max(
-        lambda t: power_off_objective(state, params, t, cumulative_p, x, objective),
-        lo, hi, rel_tol,
+        lambda t: power_off_objective(state, params, t, cumulative_p, x, objective), lo, hi
     )
+
+
+def _fixed_or_analytic(policy: str, scheme: str, params: SystemParams, fixed_tau: float | None):
+    """``choose_tau`` of the ``fixed`` or the ``analytic`` policy, the two
+    that the closed and the damped protocols share."""
+    if policy == "fixed":
+        if fixed_tau is None:
+            raise ValueError("fixed policy needs fixed_tau")
+        return lambda state, cumulative, m: fixed_tau
+    if scheme != "power_on":
+        raise ValueError("the analytic interval formula applies to the power_on scheme")
+    return lambda state, cumulative, m: tau_opt_analytic(state, params)
 
 
 def _drive(
@@ -329,14 +330,8 @@ def run_protocol(
     """
     if scheme == "general" and charger is None:
         raise ValueError("the general scheme needs a ChargerSpec")
-    if interval_policy == "fixed":
-        if fixed_tau is None:
-            raise ValueError("fixed policy needs fixed_tau")
-        choose_tau = lambda state, cumulative, m: fixed_tau
-    elif interval_policy == "analytic":
-        if scheme != "power_on":
-            raise ValueError("the analytic interval formula applies to the power_on scheme")
-        choose_tau = lambda state, cumulative, m: tau_opt_analytic(state, params)
+    if interval_policy in ("fixed", "analytic"):
+        choose_tau = _fixed_or_analytic(interval_policy, scheme, params, fixed_tau)
     elif interval_policy == "numeric":
         if scheme == "general":
             raise ValueError("numeric interval optimization needs a named scheme")

@@ -40,9 +40,12 @@ class SystemParams:
     def __post_init__(self):
         if self.n_levels < 1:
             raise ValueError(f"n_levels must be >= 1, got {self.n_levels}")
+        for name in ("g", "delta", "omega_c"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.g < 0:
             raise ValueError(f"coupling g must be >= 0, got {self.g}")
-        if self.beta < 0:
+        if not self.beta >= 0:
             raise ValueError(f"beta must be >= 0, got {self.beta}")
         if self.omega_b <= 0:
             raise ValueError(

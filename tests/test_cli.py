@@ -31,6 +31,31 @@ def test_invalid_physics_is_a_config_error(tmp_path):
     assert main(["power_on", "--set", "params.beta=-2", "--out", str(out)]) == 1
 
 
+@pytest.mark.parametrize("assignment", [
+    "params.g=NaN", "params.g=Infinity", "params.delta=NaN", "params.delta=-Infinity",
+    "params.omega_c=Infinity", "params.beta=NaN",
+])
+def test_non_finite_physics_is_a_config_error(tmp_path, capsys, assignment):
+    out = tmp_path / "x.csv"
+    assert main(["power_on", "--set", assignment, "--out", str(out)]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("assignment", [
+    "dissipation.gamma_b=NaN", "dissipation.gamma_c=NaN", "dissipation.nbar_th=Infinity",
+    "dissipation.nbar_th_c=NaN",
+])
+def test_non_finite_damping_fails_the_run(tmp_path, capsys, assignment):
+    # a NaN rate used to drop its channel and run undamped
+    out = tmp_path / "x.csv"
+    argv = ["lindblad", "--out", str(out), "--set", "params.n_levels=8",
+            "--set", "schedule.n_rounds=1", "--set", assignment]
+    assert main(argv) == 3
+    assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_output_directory_is_a_config_error(tmp_path):
     out = tmp_path / "no" / "such" / "dir" / "x.csv"
     assert main(["power_on", "--out", str(out)]) == 1
@@ -213,6 +238,27 @@ def test_interval_sweep_prepares_every_m_from_one_run(tmp_path, monkeypatch):
             state = run_protocol(state, params, "power_on", m - 1, "numeric").rounds[-1].post_state
         markers = {r[6] for r in rows if r[1] == str(m)}
         assert markers == {repr(float(tau_opt_numeric(state, params)))}
+
+
+@pytest.mark.parametrize("scheme, policy", [("power_on", "numeric"), ("power_off", "power_off_compromise")])
+def test_interval_sweep_markers_use_the_run_grid(tmp_path, scheme, policy):
+    from qbattery import cli
+    from qbattery.scheduler import run_protocol
+    from qbattery.states import thermal_state
+
+    sets = [f"schedule.scheme={scheme}", "schedule.tau_max=5", "schedule.grid_points=150",
+            "sweep.m_values=[1,5]", "sweep.tau_points=5"]
+    out = tmp_path / "interval.csv"
+    argv = ["interval_sweep", "--out", str(out)]
+    for assignment in sets:
+        argv += ["--set", assignment]
+    assert main(argv) == 0
+    _, rows = read_csv(out)
+    params = cli._build_params(cli.load_config("interval_sweep", None, sets))
+    for m in (1, 5):
+        run = run_protocol(thermal_state(params), params, scheme, m, policy, tau_max=5, grid_points=150)
+        assert not run.truncated
+        assert {r[6] for r in rows if r[1] == str(m)} == {repr(float(run.rounds[m - 1].tau))}
 
 
 @pytest.mark.parametrize("m_values", ["[20,1]", "[1,7,20,3]"])

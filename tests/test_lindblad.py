@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -128,6 +129,25 @@ def test_dissipation_params_validation():
         DissipationParams(-1e-3, 0.0, 0.0, 0.0)
     with pytest.raises(ValueError):
         DissipationParams(0.0, 0.0, -0.1, 0.0)
+    # a NaN rate would fail every rate > 0 test and drop its channel
+    for i in range(4):
+        for bad in (math.nan, math.inf):
+            values = [1e-3, 1e-3, 0.5, 0.5]
+            values[i] = bad
+            with pytest.raises(ValueError, match="finite"):
+                DissipationParams(*values)
+
+
+@pytest.mark.parametrize("scheme, policy, match", [
+    ("power_on", "fixed", "fixed policy needs fixed_tau"),
+    ("power_off", "analytic", "applies to the power_on scheme"),
+])
+def test_both_protocols_reject_the_same_interval_policy_misuse(scheme, policy, match):
+    state = thermal_state(SMALL)
+    with pytest.raises(ValueError, match=match):
+        run_protocol(state, SMALL, scheme, 2, policy)
+    with pytest.raises(ValueError, match=match):
+        dissipative_protocol(state, SMALL, NO_DAMPING, scheme, 2, policy)
 
 
 def test_thermal_dissipation_defaults():
@@ -245,41 +265,62 @@ def test_integrate_matches_superoperator_exponential_on_random_sectors():
 def test_dissipative_protocol_builds_the_generator_once(monkeypatch):
     import qbattery.lindblad as lindblad
 
-    built, integrated = [], []
-    build, step = lindblad._liouvillian, lindblad.integrate
-    monkeypatch.setattr(lindblad, "_liouvillian", lambda *a: built.append(a) or build(*a))
+    integrated = []
+    step = lindblad.integrate
     monkeypatch.setattr(lindblad, "integrate", lambda *a, **k: integrated.append(a) or step(*a, **k))
     diss = DissipationParams.thermal(SMALL, 1e-3)
+    lindblad._liouvillian.cache_clear()
     damped = dissipative_protocol(thermal_state(SMALL), SMALL, diss, "power_on", 3, "analytic")
     assert len(damped.rounds) == len(integrated) == 3
-    assert len(built) == 1
-    # outside the protocol every integrate call builds its own generator
+    assert lindblad._liouvillian.cache_info().misses == 1
+    # a later standalone integrate on the same parameters reuses it
     integrate(random_joint_state(SMALL), 1.0, SMALL, diss)
-    assert len(built) == 2
+    assert lindblad._liouvillian.cache_info().misses == 1
 
 
-def test_integrate_ignores_a_protocol_generator_for_other_parameters():
+DAMPED = DissipationParams(gamma_b=3e-3, gamma_c=2e-3, nbar_th=0.7, nbar_th_c=0.2)
+
+
+def test_generators_for_other_parameters_are_never_shared():
     import qbattery.lindblad as lindblad
 
     rho0 = random_joint_state(SMALL)
-    diss = DissipationParams.thermal(SMALL, 1e-2)
-    alone = integrate(rho0, 5.0, SMALL, diss)
-    token = lindblad._PROTOCOL_GENERATOR.set(
-        (SMALL, NO_DAMPING, lindblad._liouvillian(SMALL, NO_DAMPING)))
-    try:
-        inside = integrate(rho0, 5.0, SMALL, diss)
-    finally:
-        lindblad._PROTOCOL_GENERATOR.reset(token)
-    assert np.array_equal(inside, alone)
+    # only g, only one rate, only one occupation differs from (SMALL, DAMPED)
+    for params, diss in [(replace(SMALL, g=0.05), DAMPED), (SMALL, replace(DAMPED, gamma_c=5e-3)),
+                         (SMALL, replace(DAMPED, nbar_th=0.0))]:
+        lindblad._liouvillian.cache_clear()
+        cold = integrate(rho0, 5.0, params, diss)
+        lindblad._liouvillian.cache_clear()
+        integrate(rho0, 5.0, SMALL, DAMPED)
+        after_other = integrate(rho0, 5.0, params, diss)
+        warm = integrate(rho0, 5.0, params, diss)
+        assert cold.tobytes() == after_other.tobytes() == warm.tobytes()
+        assert lindblad._liouvillian.cache_info().misses == 2
+        cached = lindblad._liouvillian(params, diss)
+        fresh = lindblad._liouvillian.__wrapped__(params, diss)
+        assert cached is not lindblad._liouvillian(SMALL, DAMPED)
+        assert len(cached) == len(fresh)
+        for pair, fresh_pair in zip(cached, fresh):
+            for factor, expected in zip(pair, fresh_pair):
+                assert (factor != expected).nnz == 0
+
+
+def test_cached_generator_factors_are_read_only():
+    import qbattery.lindblad as lindblad
+
+    for pair in lindblad._liouvillian(SMALL, DAMPED):
+        for factor in pair:
+            for array in (factor.data, factor.indices, factor.indptr):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = array[0]
 
 
 def test_restricted_generator_on_every_element_is_the_dense_superoperator():
     import qbattery.lindblad as lindblad
 
-    diss = DissipationParams(gamma_b=3e-3, gamma_c=2e-3, nbar_th=0.7, nbar_th_c=0.2)
     dim = 2 * SMALL.dim
-    full = lindblad._restricted(lindblad._liouvillian(SMALL, diss), np.arange(dim * dim))
-    assert np.abs(full.toarray() - dense_superoperator(SMALL, diss)).max() < 1e-15
+    full = lindblad._restricted(lindblad._liouvillian(SMALL, DAMPED), np.arange(dim * dim))
+    assert np.abs(full.toarray() - dense_superoperator(SMALL, DAMPED)).max() < 1e-15
 
 
 def test_restricted_generator_rejects_a_support_it_leaves():

@@ -43,6 +43,14 @@ def test_tau_analytic_near_first_probability_peak():
     assert 8.0 < tau < 9.5
 
 
+def test_tau_analytic_reads_the_populations_of_a_coherent_state():
+    psi = np.zeros(WARM.dim)
+    psi[[0, 3]] = 1.0 / math.sqrt(2.0)
+    state = BatteryState.from_matrix(np.outer(psi, psi))
+    assert not state.is_diagonal
+    assert tau_opt_analytic(state, WARM) == tau_opt_analytic(BatteryState.diagonal(state.populations), WARM)
+
+
 def test_tau_numeric_matches_analytic_on_vacuum():
     # from the vacuum the round probability is a single sine square, so
     # both rules give the exact quarter period
@@ -330,8 +338,8 @@ def test_cached_arrays_are_read_only():
     from qbattery.propagator import _ladder
     from qbattery.scheduler import _grid_weights, _tau_grid
 
-    taus, weights = _grid_weights(100, 0.04, 0.02, 1.0, "eg", 150.0, 400)
-    for array in (taus, weights, *_ladder(100, 0.04, 0.02, 1.0, 1)):
+    taus, weights = _grid_weights(WARM, "eg", 150.0, 400)
+    for array in (taus, weights, *_ladder(WARM, 1)):
         with pytest.raises(ValueError, match="read-only"):
             array[..., 0] = 0
     # a round scored from the grid gets a fresh product
@@ -356,8 +364,7 @@ def test_params_differing_in_g_or_ladder_never_share_weights(other):
 
     grids = {}
     for params in (WARM, other, WARM, other):
-        taus, weights = _grid_weights(params.n_levels, params.g, params.delta, params.omega_c,
-                                      "eg", 120.0, 50)
+        taus, weights = _grid_weights(params, "eg", 120.0, 50)
         np.testing.assert_allclose(weights, closed_form(params, taus), rtol=1e-12, atol=1e-300)
         np.testing.assert_array_equal(weights, _map_weights(params, taus, "eg"))
         grids.setdefault(params, weights)
@@ -372,9 +379,8 @@ def test_round_between_optimizations_leaves_the_cache_unchanged():
 
     state = thermal_state(WARM)
     tau = tau_opt_numeric(state, WARM)
-    taus, weights = _grid_weights(WARM.n_levels, WARM.g, WARM.delta, WARM.omega_c,
-                                  "eg", 2.0 * math.pi / WARM.g, 400)
-    ladder = _ladder(WARM.n_levels, WARM.g, WARM.delta, WARM.omega_c, 0)
+    taus, weights = _grid_weights(WARM, "eg", 2.0 * math.pi / WARM.g, 400)
+    ladder = _ladder(WARM, 0)
     saved = [a.copy() for a in (taus, weights, *ladder)]
     grid_info, ladder_info = _grid_weights.cache_info(), _ladder.cache_info()
     post = power_on_round(state, WARM, tau).post_state

@@ -29,6 +29,11 @@ def test_system_params_validation():
         SystemParams(n_levels=10, g=0.04, beta=-1.0)
     with pytest.raises(ValueError):
         SystemParams(n_levels=10, g=0.04, delta=1.0)  # omega_b would vanish
+    for field, bad in [("g", math.nan), ("g", math.inf), ("delta", math.nan), ("delta", -math.inf),
+                       ("omega_c", math.inf), ("omega_c", math.nan), ("beta", math.nan)]:
+        with pytest.raises(ValueError, match=field):
+            SystemParams(**{"n_levels": 10, "g": 0.04, field: bad})
+    assert SystemParams(n_levels=10, g=0.04, beta=math.inf).beta == math.inf
 
 
 def test_delta_relation_holds_by_construction():
