@@ -8,25 +8,17 @@ quantum per round into the battery (power-on); preparing it in the
 ground state and measuring it excited charges the battery with work
 injected by the measurement itself (power-off).
 
-The package provides the exact block propagator and the induced Kraus
-maps, single rounds for arbitrary qubit preparation and measurement
-angle, measurement-interval schedulers, ergotropy diagnostics, a
-Lindblad integrator for damped rounds, and a CLI that emits CSV
-artifacts for each standard experiment.
+The package provides the closed-form block amplitudes and the banded
+Kraus maps they induce, single rounds for arbitrary qubit preparation
+and measurement angle, measurement-interval schedulers, ergotropy
+diagnostics, a Lindblad integrator for damped rounds, and a CLI that
+emits CSV artifacts for each standard experiment. The dense Kraus
+operators, joint propagator and Lindblad right-hand side are oracles in
+``qbattery.validate``.
 """
 
-from .lindblad import DissipationParams, dissipative_protocol, integrate, lindblad_rhs
-from .propagator import (
-    BlockCoefficients,
-    KrausSet,
-    ZeroProbabilityError,
-    block_coefficients,
-    joint_hamiltonian,
-    joint_unitary,
-    kraus_set,
-    povm_apply,
-    rabi_frequency,
-)
+from .lindblad import DissipationParams, dissipative_protocol, integrate
+from .propagator import ZeroProbabilityError, rabi_frequency
 from .rounds import (
     RoundRecord,
     charge_discharge_populations,
@@ -74,10 +66,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BatteryState",
-    "BlockCoefficients",
     "ChargerSpec",
     "DissipationParams",
-    "KrausSet",
     "NoChargingError",
     "POWER_OFF",
     "POWER_ON",
@@ -86,7 +76,6 @@ __all__ = [
     "ThermoSnapshot",
     "Trajectory",
     "ZeroProbabilityError",
-    "block_coefficients",
     "charge_discharge_populations",
     "charging_power",
     "coherence_population",
@@ -100,14 +89,9 @@ __all__ = [
     "gaussian_reference",
     "general_round",
     "integrate",
-    "joint_hamiltonian",
-    "joint_unitary",
-    "kraus_set",
-    "lindblad_rhs",
     "mean_occupation",
     "occupation_variance",
     "passive_state",
-    "povm_apply",
     "power_off_round",
     "power_on_round",
     "rabi_frequency",

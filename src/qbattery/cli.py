@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import json
 import math
 import sys
@@ -174,6 +175,20 @@ def _build_params(config: dict) -> SystemParams:
         raise ConfigError(str(err)) from err
 
 
+def _build_dissipation(config: dict, params: SystemParams) -> DissipationParams:
+    """Thermal bath occupations for ``params`` unless the config sets them."""
+    d = config["dissipation"]
+    try:
+        thermal = DissipationParams.thermal(
+            params, gamma_b=float(d["gamma_b"]),
+            gamma_c=None if d["gamma_c"] is None else float(d["gamma_c"]),
+        )
+        overrides = {key: float(d[key]) for key in ("nbar_th", "nbar_th_c") if d[key] is not None}
+        return dataclasses.replace(thermal, **overrides)
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
+
+
 def _build_charger(config: dict) -> ChargerSpec:
     c = config["charger"]
     try:
@@ -209,8 +224,11 @@ def cmd_sweep_theta_q(config: dict, out: Path) -> None:
     for c in c_values:
         ChargerSpec(q=0.0, theta=0.0, c=c)  # rejects a coherence outside [0, 1]
     c, theta, q = (grid.ravel() for grid in np.meshgrid(c_values, thetas, qs, indexing="ij"))
+    tau = float(sweep["tau"])
+    if not (math.isfinite(tau) and tau >= 0.0):
+        raise ConfigError(f"sweep.tau must be finite and >= 0, got {tau}")
     populations = thermal_state(params).populations
-    ratio = _mean_ratios(populations, params, float(sweep["tau"]), q, theta, c)
+    ratio = _mean_ratios(populations, params, tau, q, theta, c)
     write_csv(out, ["theta", "q", "c", "ratio"], zip(theta, q, c, ratio))
 
 
@@ -387,14 +405,7 @@ def cmd_lindblad(config: dict, out: Path) -> None:
     params = _build_params(config)
     schedule = config["schedule"]
     d = config["dissipation"]
-    base = DissipationParams.thermal(params, gamma_b=float(d["gamma_b"]),
-                                     gamma_c=None if d["gamma_c"] is None else float(d["gamma_c"]))
-    diss = DissipationParams(
-        gamma_b=base.gamma_b,
-        gamma_c=base.gamma_c,
-        nbar_th=base.nbar_th if d["nbar_th"] is None else float(d["nbar_th"]),
-        nbar_th_c=base.nbar_th_c if d["nbar_th_c"] is None else float(d["nbar_th_c"]),
-    )
+    diss = _build_dissipation(config, params)
     scheme = schedule["scheme"]
     policy = schedule["policy"]
     tau_schedule = None

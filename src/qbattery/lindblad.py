@@ -28,7 +28,7 @@ The adaptive solver's error norm is an RMS over the solved vector, so
 the tolerances are scaled by sqrt(total / solved); that reproduces the
 error norm, and so the step sequence, of a solve over all elements,
 whose left-out entries contribute exact zeros. The dense right-hand
-side survives behind ``lindblad_rhs`` as the oracle.
+side is an oracle in ``qbattery.validate``.
 """
 
 from __future__ import annotations
@@ -42,13 +42,7 @@ import numpy as np
 from scipy import sparse
 from scipy.integrate import solve_ivp
 
-from .propagator import (
-    ZERO_PROBABILITY_ATOL,
-    ZeroProbabilityError,
-    battery_lowering,
-    joint_hamiltonian,
-    qubit_lowering,
-)
+from .propagator import ZERO_PROBABILITY_ATOL, ZeroProbabilityError
 from .rounds import RoundRecord
 from .scheduler import Trajectory, _drive, _fixed_or_analytic
 from .states import BatteryState, ChargerSpec, SystemParams, mean_occupation, thermal_state
@@ -106,11 +100,19 @@ class DissipationParams:
         )
 
 
+def _joint_lowering(dim: int) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
+    """The battery ladder operator A (<n-1|A|n> = sqrt(n)) and the qubit
+    lowering operator s- = |g><e| on the joint space, sparse, ordering
+    |i, n> -> i*(N+1) + n with i = 0 for |g>."""
+    a = sparse.kron(sparse.identity(2), sparse.diags(np.sqrt(np.arange(1.0, dim)), 1), format="csr")
+    sm = sparse.kron(sparse.csr_matrix(([1.0], ([0], [1])), shape=(2, 2)), sparse.identity(dim),
+                     format="csr")
+    return a.astype(complex), sm.astype(complex)
+
+
 def _jump_operators(params: SystemParams, diss: DissipationParams):
     """(rate, L, L+L) triples for the four damping channels, sparse."""
-    dim = params.dim
-    a = sparse.kron(np.eye(2), battery_lowering(dim), format="csr").astype(complex)
-    sm = sparse.kron(qubit_lowering(), np.eye(dim), format="csr").astype(complex)
+    a, sm = _joint_lowering(params.dim)
     channels = [
         (diss.gamma_b * (diss.nbar_th + 1.0), a),
         (diss.gamma_b * diss.nbar_th, a.conj().T.tocsr()),
@@ -118,20 +120,6 @@ def _jump_operators(params: SystemParams, diss: DissipationParams):
         (diss.gamma_c * diss.nbar_th_c, sm.conj().T.tocsr()),
     ]
     return [(rate, op, (op.conj().T @ op).tocsr()) for rate, op in channels if rate > 0.0]
-
-
-def _rhs_factory(params: SystemParams, diss: DissipationParams):
-    h = joint_hamiltonian(params)
-    jumps = [(rate, op.toarray(), opop.toarray())
-             for rate, op, opop in _jump_operators(params, diss)]
-
-    def rhs(rho: np.ndarray) -> np.ndarray:
-        out = -1j * (h @ rho - rho @ h)
-        for rate, op, opop in jumps:
-            out += rate * (op @ rho @ op.conj().T - 0.5 * (opop @ rho + rho @ opop))
-        return out
-
-    return rhs
 
 
 @functools.lru_cache(maxsize=4)
@@ -142,10 +130,13 @@ def _liouvillian(params: SystemParams, diss: DissipationParams) -> tuple[tuple, 
 
     Row-major vectorization, vec(A rho B) = kron(A, B^T) vec(rho), on the
     (2(N+1))^2 joint elements. With K = -iH - sum rate L+L / 2 the
-    generator is K rho + rho K+ + sum rate L rho L+.
+    generator is K rho + rho K+ + sum rate L rho L+, where
+    H = delta s+ s- + g (s- A+ + s+ A) in the rotating frame.
     """
+    a, sm = _joint_lowering(params.dim)
+    h = params.delta * (sm.conj().T @ sm) + params.g * (sm @ a.conj().T + sm.conj().T @ a)
     jumps = _jump_operators(params, diss)
-    k = -1j * sparse.csr_matrix(joint_hamiltonian(params))
+    k = -1j * h
     for rate, _, opop in jumps:
         k = k - 0.5 * rate * opop
     eye = sparse.identity(k.shape[0], dtype=complex, format="csr")
@@ -190,21 +181,6 @@ def _excitation_gaps(dim: int) -> np.ndarray:
     """k_row - k_col of every joint element, raveled; |i, n> carries i + n."""
     k = np.add.outer(np.arange(2), np.arange(dim)).ravel()
     return np.subtract.outer(k, k).ravel()
-
-
-def lindblad_rhs(
-    rho: np.ndarray, params: SystemParams, diss: DissipationParams
-) -> np.ndarray:
-    """Generator applied to one joint density matrix.
-
-    Hermiticity-preserving and traceless by construction; the input must
-    be 2(N+1) x 2(N+1).
-    """
-    rho = np.asarray(rho, dtype=complex)
-    expected = 2 * params.dim
-    if rho.shape != (expected, expected):
-        raise ValueError(f"expected a {expected}x{expected} matrix, got {rho.shape}")
-    return _rhs_factory(params, diss)(rho)
 
 
 def integrate(

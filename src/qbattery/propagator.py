@@ -4,18 +4,23 @@ The exchange coupling conserves the total excitation number, so the
 joint propagator splits into 2x2 blocks spanned by |e, n-1> and |g, n>
 plus two uncoupled levels, |g, 0> and |e, N>. Each block is
 exponentiated in closed form; projecting the qubit afterwards yields
-four Kraus operators on the battery, labeled by the prepared state i
-and the measured state j of the qubit.
+four Kraus operators <j|U|i> on the battery, labeled by the prepared
+state i and the measured state j of the qubit. Each is a single band
+of the block amplitudes: eg holds swap_n below the diagonal, ge
+swap_{n+1} above it, gg and ee the stay amplitudes on it. Production
+code reads those bands (``_amplitude_vectors``, ``_map_weights``) and
+never builds an (N+1)x(N+1) Kraus matrix; the dense Kraus operators,
+the joint Hamiltonian and the joint propagator assembled from the
+blocks are oracles in ``qbattery.validate``.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .states import BatteryState, SystemParams
+from .states import SystemParams
 
 ZERO_PROBABILITY_ATOL = 1e-15
 
@@ -102,135 +107,3 @@ def _diagonal_map(kind: str, weights: np.ndarray, populations: np.ndarray) -> np
     elif kind == "ge":
         populations = np.concatenate([populations[1:], [0.0]])
     return weights * populations
-
-
-@dataclass(frozen=True)
-class BlockCoefficients:
-    """Closed-form amplitudes of one conserved-excitation block."""
-
-    n: int
-    rabi: float
-    stay: complex   # diagonal (no exchange) amplitude, phase convention above
-    swap: complex   # off-diagonal (one-quantum exchange) amplitude
-
-
-def block_coefficients(params: SystemParams, n: int, tau: float) -> BlockCoefficients:
-    """Amplitudes of the block coupling |e, n-1> and |g, n>, n >= 1."""
-    if n < 1:
-        raise ValueError(f"blocks are indexed by n >= 1, got {n}")
-    if tau < 0:
-        raise ValueError(f"tau must be >= 0, got {tau}")
-    # block n is the top block of the ladder truncated at N = n
-    stay, swap = _amplitude_vectors(replace(params, n_levels=n), tau)
-    return BlockCoefficients(
-        n=n, rabi=float(rabi_frequency(params, n)), stay=complex(stay[n]), swap=complex(swap[n])
-    )
-
-
-@dataclass(frozen=True, eq=False)
-class KrausSet:
-    """The four battery-space Kraus operators <j|U|i> for one interval tau.
-
-    ``eg`` moves population up one level (prepare excited, measure
-    ground), ``ge`` moves it down, ``gg`` and ``ee`` are diagonal. For
-    each prepared state i, eg/ee and ge/gg resolve the identity.
-    """
-
-    eg: np.ndarray
-    ge: np.ndarray
-    gg: np.ndarray
-    ee: np.ndarray
-    tau: float
-
-    def operator(self, kind: str) -> np.ndarray:
-        if kind not in KRAUS_KINDS:
-            raise ValueError(f"kind must be one of {KRAUS_KINDS}, got {kind!r}")
-        return getattr(self, kind)
-
-
-def kraus_set(params: SystemParams, tau: float) -> KrausSet:
-    """Build all four Kraus operators on the N+1 battery levels.
-
-    The uncoupled top corner |e, N> evolves only by the detuning phase,
-    which fills the [N, N] entry of the ee operator; without it the
-    excited-preparation pair would not resolve the identity.
-    """
-    if tau < 0:
-        raise ValueError(f"tau must be >= 0, got {tau}")
-    dim = params.dim
-    stay, swap = _amplitude_vectors(params, tau)
-    phase = np.exp(-0.5j * params.delta * tau)
-
-    eg = np.zeros((dim, dim), dtype=complex)
-    eg[np.arange(1, dim), np.arange(dim - 1)] = swap[1:]
-    ge = np.zeros((dim, dim), dtype=complex)
-    ge[np.arange(dim - 1), np.arange(1, dim)] = swap[1:]
-    gg = np.diag(phase * stay)
-    ee_diag = np.concatenate([phase * np.conj(stay[1:]), [np.exp(-1j * params.delta * tau)]])
-    ee = np.diag(ee_diag)
-    return KrausSet(eg=eg, ge=ge, gg=gg, ee=ee, tau=tau)
-
-
-def apply_map_diagonal(kraus: KrausSet, kind: str, populations: np.ndarray) -> np.ndarray:
-    """Unnormalized populations after the map of one Kraus operator."""
-    # each row holds at most one entry, the weight of the level it writes to
-    return _diagonal_map(kind, (np.abs(kraus.operator(kind)) ** 2).sum(axis=1), populations)
-
-
-def povm_apply(kind: str, state: BatteryState, kraus: KrausSet) -> tuple[BatteryState, float]:
-    """Apply one element of the measurement-induced channel.
-
-    Returns the normalized post-measurement state and the outcome
-    probability (the trace of the unnormalized map). Diagonal inputs
-    stay diagonal for all four kinds.
-    """
-    if state.is_diagonal:
-        out = apply_map_diagonal(kraus, kind, state.populations)
-        prob = float(out.sum())
-        if prob < ZERO_PROBABILITY_ATOL:
-            raise ZeroProbabilityError(f"outcome {kind!r} has probability {prob:.3e}")
-        return BatteryState.diagonal(out / prob), prob
-    op = kraus.operator(kind)
-    rho = op @ state.matrix @ op.conj().T
-    prob = float(np.trace(rho).real)
-    if prob < ZERO_PROBABILITY_ATOL:
-        raise ZeroProbabilityError(f"outcome {kind!r} has probability {prob:.3e}")
-    return BatteryState.from_matrix(rho / prob), prob
-
-
-def qubit_lowering() -> np.ndarray:
-    """|g><e| in the (|g>, |e>) basis."""
-    return np.array([[0.0, 1.0], [0.0, 0.0]])
-
-
-def battery_lowering(dim: int) -> np.ndarray:
-    """Ladder operator with <n-1|A|n> = sqrt(n)."""
-    a = np.zeros((dim, dim))
-    a[np.arange(dim - 1), np.arange(1, dim)] = np.sqrt(np.arange(1, dim))
-    return a
-
-
-def joint_hamiltonian(params: SystemParams) -> np.ndarray:
-    """Rotating-frame Hamiltonian on the qubit (x) battery product space.
-
-    H = delta |e><e| + g (sigma_- A^dagger + sigma_+ A), ordering
-    |i, n> -> i*(N+1) + n with i = 0 for |g>.
-    """
-    dim = params.dim
-    a = battery_lowering(dim)
-    sm = qubit_lowering()
-    excited = np.diag([0.0, 1.0])
-    h = params.delta * np.kron(excited, np.eye(dim))
-    h = h + params.g * (np.kron(sm, a.conj().T) + np.kron(sm.T, a))
-    return h.astype(complex)
-
-
-def joint_unitary(params: SystemParams, tau: float) -> np.ndarray:
-    """Exact propagator exp(-i H tau) on the 2(N+1) joint space.
-
-    Assembled from the closed-form Kraus blocks <j|U|i> rather than a
-    matrix exponential; |g, 0> is left invariant and |e, N> picks up only
-    the detuning phase. Kept as an oracle for the Kraus-contracted rounds.
-    """
-    ks = kraus_set(params, tau)
-    return np.block([[ks.gg, ks.eg], [ks.ge, ks.ee]])

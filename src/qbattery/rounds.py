@@ -5,9 +5,10 @@ population map of one Kraus operator: power-on prepares the qubit
 excited and measures it in the ground state (population climbs one
 level), power-off prepares it in the ground state and measures it
 excited (population steps down, but renormalization can still raise the
-mean). The general (q, theta, c) round contracts the four Kraus
-operators with the charger's preparation and measured state, so it
-handles charger coherence and non-diagonal battery states without the
+mean). The general (q, theta, c) round contracts the charger's
+preparation with the two Kraus operators of its measured state, each a
+diagonal plus one off-diagonal band of block amplitudes, so it handles
+charger coherence and non-diagonal battery states in O(N^2) without the
 joint qubit-battery space. For diagonal states its populations split
 into the four single-operator maps and a coherence part, which the
 closed-form single-round ratio over a whole (q, theta, c) grid reuses.
@@ -26,7 +27,6 @@ from .propagator import (
     _amplitude_vectors,
     _diagonal_map,
     _map_weights,
-    kraus_set,
 )
 from .states import BatteryState, ChargerSpec, SystemParams
 from .thermo import ThermoSnapshot
@@ -97,6 +97,32 @@ def power_off_round(state: BatteryState, params: SystemParams, tau: float) -> Ro
     return _named_round(state, params, tau, "power_off")
 
 
+def _measured_kraus(phi: np.ndarray, params: SystemParams, tau: float) -> tuple:
+    """M_g = phi_g gg + phi_e ge and M_e = phi_g eg + phi_e ee as
+    (diagonal, off-diagonal band, band above the diagonal) triples: M_g
+    is upper bidiagonal with swap_{n+1} at [n, n+1], M_e lower bidiagonal
+    with swap_n at [n, n-1]. The uncoupled top level |e, N> evolves only
+    by the detuning phase, which fills ee's last diagonal entry."""
+    stay, swap = _amplitude_vectors(params, tau)
+    phase = np.exp(-0.5j * params.delta * tau)
+    hold = np.append(phase * np.conj(stay[1:]), np.exp(-1j * params.delta * tau))
+    return (
+        (phi[0] * phase * stay, phi[1] * swap[1:], True),
+        (phi[1] * hold, phi[0] * swap[1:], False),
+    )
+
+
+def _band_product(m: tuple, x: np.ndarray) -> np.ndarray:
+    """M @ x for one ``_measured_kraus`` triple, by row shifts of x."""
+    diagonal, band, above = m
+    out = diagonal[:, None] * x
+    if above:
+        out[:-1] += band[:, None] * x[1:]
+    else:
+        out[1:] += band[:, None] * x[:-1]
+    return out
+
+
 def general_round(
     state: BatteryState,
     charger: ChargerSpec,
@@ -113,12 +139,17 @@ def general_round(
     """
     if state.populations.size != params.dim:
         raise ValueError("state and params disagree on the ladder size")
-    ks = kraus_set(params, tau)
-    phi = charger.measured_state()
-    m = np.stack([phi[0] * ks.gg + phi[1] * ks.ge, phi[0] * ks.eg + phi[1] * ks.ee])
-    # mixed[i'] = sum_i rho_c[i, i'] M_i rho
-    mixed = np.tensordot(charger.density_matrix(), m @ state.matrix, axes=(0, 0))
-    battery = mixed[0] @ m[0].conj().T + mixed[1] @ m[1].conj().T
+    if tau < 0:
+        raise ValueError(f"tau must be >= 0, got {tau}")
+    m = _measured_kraus(charger.measured_state(), params, tau)
+    rho = state.matrix
+    applied = [_band_product(mi, rho) for mi in m]
+    rho_c = charger.density_matrix()
+    # mixed[i'] = sum_i rho_c[i, i'] M_i rho, and mixed M^+ = (M mixed^+)^+
+    battery = sum(
+        _band_product(m[j], (rho_c[0, j] * applied[0] + rho_c[1, j] * applied[1]).conj().T).conj().T
+        for j in (0, 1)
+    )
     prob = float(np.trace(battery).real)
     if prob < ZERO_PROBABILITY_ATOL:
         raise ZeroProbabilityError(f"projection onto theta={charger.theta} has probability {prob:.3e}")

@@ -3,6 +3,12 @@
 Every check returns the worst deviation it saw so the caller (tests or
 the command-line ``validate`` report) can compare against the published
 tolerance instead of a bare boolean.
+
+The dense constructions live here and only here, as oracles for the
+banded and sparse production paths: the four (N+1)x(N+1) Kraus
+operators and their channel, the joint Hamiltonian, the joint
+propagator assembled from the Kraus blocks, and the dense Lindblad
+right-hand side.
 """
 
 from __future__ import annotations
@@ -13,14 +19,8 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from .lindblad import DissipationParams, _project_qubit, _rhs_factory, integrate
-from .propagator import (
-    KrausSet,
-    block_coefficients,
-    joint_hamiltonian,
-    joint_unitary,
-    kraus_set,
-)
+from .lindblad import DissipationParams, _jump_operators, _project_qubit, integrate
+from .propagator import KRAUS_KINDS, ZERO_PROBABILITY_ATOL, ZeroProbabilityError, _amplitude_vectors
 from .rounds import general_round
 from .states import POWER_OFF, POWER_ON, BatteryState, ChargerSpec, SystemParams, thermal_state
 
@@ -54,6 +54,120 @@ class CheckResult:
         return f"[{status}] {self.name}: max deviation {self.max_deviation:.3e} (tol {self.tolerance:.0e})"
 
 
+@dataclass(frozen=True, eq=False)
+class KrausSet:
+    """The four battery-space Kraus operators <j|U|i> for one interval tau.
+
+    ``eg`` moves population up one level (prepare excited, measure
+    ground), ``ge`` moves it down, ``gg`` and ``ee`` are diagonal. For
+    each prepared state i, eg/ee and ge/gg resolve the identity.
+    """
+
+    eg: np.ndarray
+    ge: np.ndarray
+    gg: np.ndarray
+    ee: np.ndarray
+    tau: float
+
+    def operator(self, kind: str) -> np.ndarray:
+        if kind not in KRAUS_KINDS:
+            raise ValueError(f"kind must be one of {KRAUS_KINDS}, got {kind!r}")
+        return getattr(self, kind)
+
+
+def kraus_set(params: SystemParams, tau: float) -> KrausSet:
+    """Build all four Kraus operators on the N+1 battery levels.
+
+    The uncoupled top corner |e, N> evolves only by the detuning phase,
+    which fills the [N, N] entry of the ee operator; without it the
+    excited-preparation pair would not resolve the identity.
+    """
+    if tau < 0:
+        raise ValueError(f"tau must be >= 0, got {tau}")
+    dim = params.dim
+    stay, swap = _amplitude_vectors(params, tau)
+    phase = np.exp(-0.5j * params.delta * tau)
+
+    eg = np.zeros((dim, dim), dtype=complex)
+    eg[np.arange(1, dim), np.arange(dim - 1)] = swap[1:]
+    ge = np.zeros((dim, dim), dtype=complex)
+    ge[np.arange(dim - 1), np.arange(1, dim)] = swap[1:]
+    gg = np.diag(phase * stay)
+    ee_diag = np.concatenate([phase * np.conj(stay[1:]), [np.exp(-1j * params.delta * tau)]])
+    ee = np.diag(ee_diag)
+    return KrausSet(eg=eg, ge=ge, gg=gg, ee=ee, tau=tau)
+
+
+def povm_apply(kind: str, state: BatteryState, kraus: KrausSet) -> tuple[BatteryState, float]:
+    """Apply one element of the measurement-induced channel as R rho R^+.
+
+    Returns the normalized post-measurement state and the outcome
+    probability (the trace of the unnormalized map). Diagonal inputs
+    stay diagonal for all four kinds.
+    """
+    op = kraus.operator(kind)
+    rho = op @ state.matrix @ op.conj().T
+    prob = float(np.trace(rho).real)
+    if prob < ZERO_PROBABILITY_ATOL:
+        raise ZeroProbabilityError(f"outcome {kind!r} has probability {prob:.3e}")
+    return BatteryState.from_matrix(rho / prob), prob
+
+
+def joint_hamiltonian(params: SystemParams) -> np.ndarray:
+    """Rotating-frame Hamiltonian on the qubit (x) battery product space.
+
+    H = delta |e><e| + g (sigma_- A^dagger + sigma_+ A), ordering
+    |i, n> -> i*(N+1) + n with i = 0 for |g>.
+    """
+    dim = params.dim
+    a = np.diag(np.sqrt(np.arange(1, dim)), 1)
+    sm = np.array([[0.0, 1.0], [0.0, 0.0]])
+    excited = np.diag([0.0, 1.0])
+    h = params.delta * np.kron(excited, np.eye(dim))
+    h = h + params.g * (np.kron(sm, a.conj().T) + np.kron(sm.T, a))
+    return h.astype(complex)
+
+
+def joint_unitary(params: SystemParams, tau: float) -> np.ndarray:
+    """Exact propagator exp(-i H tau) on the 2(N+1) joint space.
+
+    Assembled from the closed-form Kraus blocks <j|U|i> rather than a
+    matrix exponential; |g, 0> is left invariant and |e, N> picks up only
+    the detuning phase.
+    """
+    ks = kraus_set(params, tau)
+    return np.block([[ks.gg, ks.eg], [ks.ge, ks.ee]])
+
+
+def _rhs_factory(params: SystemParams, diss: DissipationParams):
+    h = joint_hamiltonian(params)
+    jumps = [(rate, op.toarray(), opop.toarray())
+             for rate, op, opop in _jump_operators(params, diss)]
+
+    def rhs(rho: np.ndarray) -> np.ndarray:
+        out = -1j * (h @ rho - rho @ h)
+        for rate, op, opop in jumps:
+            out += rate * (op @ rho @ op.conj().T - 0.5 * (opop @ rho + rho @ opop))
+        return out
+
+    return rhs
+
+
+def lindblad_rhs(
+    rho: np.ndarray, params: SystemParams, diss: DissipationParams
+) -> np.ndarray:
+    """Dense Lindblad generator applied to one joint density matrix.
+
+    Hermiticity-preserving and traceless by construction; the input must
+    be 2(N+1) x 2(N+1).
+    """
+    rho = np.asarray(rho, dtype=complex)
+    expected = 2 * params.dim
+    if rho.shape != (expected, expected):
+        raise ValueError(f"expected a {expected}x{expected} matrix, got {rho.shape}")
+    return _rhs_factory(params, diss)(rho)
+
+
 def check_block_unitarity(n_samples: int = 10_000, seed: int = 0) -> CheckResult:
     """|stay|^2 + |swap|^2 = 1 over random couplings, detunings, blocks, intervals."""
     rng = np.random.default_rng(seed)
@@ -66,8 +180,8 @@ def check_block_unitarity(n_samples: int = 10_000, seed: int = 0) -> CheckResult
         )
         n = int(rng.integers(1, params.n_levels + 1))
         tau = float(rng.uniform(0.0, 60.0))
-        coeff = block_coefficients(params, n, tau)
-        worst = max(worst, abs(abs(coeff.stay) ** 2 + abs(coeff.swap) ** 2 - 1.0))
+        stay, swap = _amplitude_vectors(params, tau)
+        worst = max(worst, abs(abs(stay[n]) ** 2 + abs(swap[n]) ** 2 - 1.0))
     return CheckResult("block unitarity", worst, BLOCK_UNITARITY_ATOL)
 
 
@@ -90,8 +204,11 @@ def check_kraus_completeness(parameter_sets=DEFAULT_PARAMETER_SETS) -> CheckResu
 
 def block_oracle_deviation(params: SystemParams, n: int, tau: float) -> float:
     """Element-wise gap between closed-form block amplitudes and the
-    matrix exponential of the corresponding 2x2 Hamiltonian block."""
-    coeff = block_coefficients(params, n, tau)
+    matrix exponential of the corresponding 2x2 Hamiltonian block,
+    1 <= n <= N; block n's amplitudes do not depend on N."""
+    if not 1 <= n <= params.n_levels:
+        raise ValueError(f"blocks are indexed by 1 <= n <= {params.n_levels}, got {n}")
+    stay, swap = (v[n] for v in _amplitude_vectors(params, tau))
     h = np.array(
         [[params.delta, params.g * np.sqrt(n)], [params.g * np.sqrt(n), 0.0]],
         dtype=complex,
@@ -100,8 +217,8 @@ def block_oracle_deviation(params: SystemParams, n: int, tau: float) -> float:
     phase = np.exp(-0.5j * params.delta * tau)
     analytic = np.array(
         [
-            [phase * np.conj(coeff.stay), coeff.swap],
-            [coeff.swap, phase * coeff.stay],
+            [phase * np.conj(stay), swap],
+            [swap, phase * stay],
         ]
     )
     return float(np.abs(u - analytic).max())
@@ -146,7 +263,7 @@ def _thermal_and_random_states(params: SystemParams, rng) -> tuple[BatteryState,
 def general_round_oracle_deviation(
     state: BatteryState, charger: ChargerSpec, params: SystemParams, tau: float
 ) -> float:
-    """Gap between the Kraus-contracted ``general_round`` and the dense
+    """Gap between the banded ``general_round`` and the dense
     round: embed with the charger, evolve with the joint propagator,
     project the qubit, trace it out. Compares unnormalized battery states."""
     u = joint_unitary(params, tau)
@@ -167,7 +284,7 @@ def check_general_round_oracle(
     ),
     seed: int = 2,
 ) -> CheckResult:
-    """Kraus-contracted general round vs the dense joint-propagator round,
+    """Banded general round vs the dense joint-propagator round,
     on a thermal (diagonal) state and a random state with coherences."""
     rng = np.random.default_rng(seed)
     worst = 0.0

@@ -28,7 +28,6 @@ from qbattery import (
     fock_state,
     gaussian_reference,
     general_round,
-    kraus_set,
     mean_occupation,
     occupation_variance,
     passive_state,
@@ -39,12 +38,13 @@ from qbattery import (
     thermal_state,
 )
 from qbattery.lindblad import integrate
-from qbattery.propagator import povm_apply
 from qbattery.validate import (
     check_block_oracle,
     check_block_unitarity,
     check_gamma_zero_reduction,
     check_kraus_completeness,
+    kraus_set,
+    povm_apply,
 )
 
 G, DELTA, N = 0.04, 0.02, 100

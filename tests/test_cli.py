@@ -51,8 +51,35 @@ def test_non_finite_damping_fails_the_run(tmp_path, capsys, assignment):
     out = tmp_path / "x.csv"
     argv = ["lindblad", "--out", str(out), "--set", "params.n_levels=8",
             "--set", "schedule.n_rounds=1", "--set", assignment]
-    assert main(argv) == 3
-    assert "must be finite" in capsys.readouterr().err
+    assert main(argv) == 1
+    assert "config error" in (err := capsys.readouterr().err) and "must be finite" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("assignment, message", [
+    ("dissipation.gamma_b=-1", "damping rates must be >= 0"),
+    ("dissipation.gamma_c=-0.5", "damping rates must be >= 0"),
+    ("dissipation.nbar_th=-1", "bath occupations must be >= 0"),
+    ("dissipation.nbar_th_c=-0.1", "bath occupations must be >= 0"),
+])
+def test_invalid_damping_is_a_config_error(tmp_path, capsys, assignment, message):
+    # the same kind of mistake as in params: exit 1, not a runtime error
+    out = tmp_path / "x.csv"
+    argv = ["lindblad", "--out", str(out), "--set", "params.n_levels=8",
+            "--set", "schedule.n_rounds=1", "--set", assignment]
+    assert main(argv) == 1
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tau", ["NaN", "Infinity", "-1"])
+def test_invalid_sweep_interval_is_a_config_error(tmp_path, capsys, tau):
+    # a NaN interval used to exit 0 with an all-nan ratio column
+    out = tmp_path / "x.csv"
+    argv = ["sweep_theta_q", "--out", str(out), "--set", "sweep.theta_points=3",
+            "--set", "sweep.q_points=3", "--set", f"sweep.tau={tau}"]
+    assert main(argv) == 1
+    assert "config error: sweep.tau must be finite and >= 0" in capsys.readouterr().err
     assert not out.exists()
 
 

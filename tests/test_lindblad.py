@@ -12,15 +12,17 @@ from qbattery import (
     SystemParams,
     dissipative_protocol,
     integrate,
-    joint_hamiltonian,
-    joint_unitary,
-    lindblad_rhs,
     mean_occupation,
     run_protocol,
     thermal_state,
 )
-from qbattery.lindblad import _rhs_factory
-from qbattery.validate import check_gamma_zero_reduction
+from qbattery.validate import (
+    _rhs_factory,
+    check_gamma_zero_reduction,
+    joint_hamiltonian,
+    joint_unitary,
+    lindblad_rhs,
+)
 
 SMALL = SystemParams(n_levels=10, g=0.04, delta=0.02, beta=0.1)
 NO_DAMPING = DissipationParams(0.0, 0.0, 0.0, 0.0)

@@ -8,20 +8,20 @@ from qbattery import (
     BatteryState,
     SystemParams,
     ZeroProbabilityError,
-    block_coefficients,
     fock_state,
-    joint_hamiltonian,
-    joint_unitary,
-    kraus_set,
     mean_occupation,
-    povm_apply,
     rabi_frequency,
     thermal_state,
 )
+from qbattery.propagator import KRAUS_KINDS, _amplitude_vectors, _diagonal_map, _map_weights
 from qbattery.validate import (
     block_oracle_deviation,
     check_block_unitarity,
     completeness_deviation,
+    joint_hamiltonian,
+    joint_unitary,
+    kraus_set,
+    povm_apply,
 )
 
 BASE = SystemParams(n_levels=100, g=0.04, delta=0.02, beta=0.1)
@@ -43,19 +43,25 @@ def test_rabi_frequency_values():
     assert rabi_frequency(resonant, 25) == pytest.approx(0.2, abs=1e-15)
 
 
+def block(params, n, tau):
+    """Stay and swap amplitudes of block n, which do not depend on N."""
+    stay, swap = _amplitude_vectors(params, tau)
+    return complex(stay[n]), complex(swap[n])
+
+
 def test_block_coefficients_identity_at_zero_interval():
-    coeff = block_coefficients(BASE, 7, 0.0)
-    assert coeff.stay == pytest.approx(1.0)
-    assert coeff.swap == pytest.approx(0.0)
+    stay, swap = block(BASE, 7, 0.0)
+    assert stay == pytest.approx(1.0)
+    assert swap == pytest.approx(0.0)
 
 
 def test_block_coefficients_quarter_period_full_swap():
     params = SystemParams(n_levels=100, g=0.04, delta=0.0)
     n = 9
     tau = math.pi / (2 * params.g * math.sqrt(n))
-    coeff = block_coefficients(params, n, tau)
-    assert abs(coeff.swap) ** 2 == pytest.approx(1.0, abs=1e-12)
-    assert abs(coeff.stay) == pytest.approx(0.0, abs=1e-12)
+    stay, swap = block(params, n, tau)
+    assert abs(swap) ** 2 == pytest.approx(1.0, abs=1e-12)
+    assert abs(stay) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_block_unitarity_random_sample():
@@ -64,8 +70,8 @@ def test_block_unitarity_random_sample():
         params = random_params(rng)
         n = int(rng.integers(1, 101))
         tau = float(rng.uniform(0.0, 60.0))
-        coeff = block_coefficients(params, n, tau)
-        assert abs(abs(coeff.stay) ** 2 + abs(coeff.swap) ** 2 - 1.0) < 1e-12
+        stay, swap = block(params, n, tau)
+        assert abs(abs(stay) ** 2 + abs(swap) ** 2 - 1.0) < 1e-12
 
 
 def test_block_amplitudes_match_matrix_exponential():
@@ -105,9 +111,8 @@ def test_joint_unitary_swap_element_is_block_coefficient():
         u = joint_unitary(params, tau)
         dim = params.dim
         for n in (1, 7, 30):
-            coeff = block_coefficients(params, n, tau)
             # <g, n| U |e, n-1>
-            assert u[n, dim + n - 1] == pytest.approx(coeff.swap, abs=1e-14)
+            assert u[n, dim + n - 1] == pytest.approx(block(params, n, tau)[1], abs=1e-14)
 
 
 def test_kraus_completeness_paper_parameters():
@@ -151,7 +156,7 @@ def test_povm_eg_on_vacuum():
     ks = kraus_set(BASE, 8.0)
     vac = fock_state(0, BASE.n_levels)
     post, prob = povm_apply("eg", vac, ks)
-    swap1 = block_coefficients(BASE, 1, 8.0).swap
+    swap1 = block(BASE, 1, 8.0)[1]
     assert prob == pytest.approx(abs(swap1) ** 2, abs=1e-14)
     assert post.populations[1] == pytest.approx(1.0, abs=1e-14)
 
@@ -193,12 +198,15 @@ def test_povm_support_shifts():
 
 
 def test_povm_diagonal_and_matrix_paths_agree():
-    # same map, two routes: closed-form weights vs R rho R^dagger
+    # same map, two routes: the production closed-form weights vs the
+    # dense R rho R^dagger oracle
     ks = kraus_set(BASE, 8.0)
     state = thermal_state(BASE)
     as_matrix = BatteryState(state.populations, np.zeros((BASE.dim, BASE.dim), complex))
-    for kind in ("eg", "ge", "gg", "ee"):
-        fast, p_fast = povm_apply(kind, state, ks)
+    for kind in KRAUS_KINDS:
+        out = _diagonal_map(kind, _map_weights(BASE, 8.0, kind), state.populations)
+        p_fast = float(out.sum())
+        fast = BatteryState.diagonal(out / p_fast)
         slow, p_slow = povm_apply(kind, as_matrix, ks)
         assert p_fast == pytest.approx(p_slow, abs=1e-12)
         assert np.abs(fast.populations - slow.populations).max() < 1e-10

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qbattery import (
     POWER_OFF,
@@ -107,9 +109,9 @@ def test_general_round_matches_power_on_path():
 
 
 def test_general_round_matches_channel_application():
-    # two code paths, one map: the joint-propagator route against the
-    # Kraus-operator route
-    from qbattery import kraus_set, povm_apply
+    # two code paths, one map: the banded round against the dense
+    # Kraus-operator oracle
+    from qbattery.validate import kraus_set, povm_apply
 
     state = thermal_state(BASE)
     ks = kraus_set(BASE, 8.0)
@@ -160,6 +162,11 @@ def test_general_round_orthogonal_projection_has_zero_probability():
     state = thermal_state(BASE)
     with pytest.raises(ZeroProbabilityError):
         general_round(state, ChargerSpec(q=1.0, theta=math.pi), BASE, 0.0)
+
+
+def test_general_round_rejects_a_negative_interval():
+    with pytest.raises(ValueError, match="tau must be >= 0"):
+        general_round(thermal_state(BASE), ChargerSpec(q=0.3, theta=1.1), BASE, -1.0)
 
 
 def test_general_round_probability_is_trace():
@@ -270,6 +277,56 @@ def test_general_round_matches_dense_oracle_randomized():
             continue
         worst = max(worst, deviation)
     assert worst < ORACLE_ATOL
+
+
+# derandomized and bounded so the suite stays deterministic and fast
+PROPERTY = settings(derandomize=True, max_examples=150, deadline=None, database=None)
+
+
+@st.composite
+def round_cases(draw):
+    """(state, charger, params, tau) with N <= 30 and a diagonal or general state."""
+    params = SystemParams(
+        n_levels=draw(st.integers(1, 30)),
+        g=draw(st.floats(1e-3, 0.2)),
+        delta=draw(st.floats(-0.1, 0.1)),
+    )
+    charger = ChargerSpec(
+        q=draw(st.floats(0.0, 1.0)), theta=draw(st.floats(0.0, math.pi)), c=draw(st.floats(0.0, 1.0)),
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    state = random_state(rng, params.dim, diagonal=draw(st.booleans()))
+    return state, charger, params, draw(st.floats(0.0, 60.0))
+
+
+@PROPERTY
+@given(round_cases())
+def test_general_round_matches_dense_oracle_property(case):
+    from qbattery.validate import ORACLE_ATOL, general_round_oracle_deviation
+
+    try:
+        deviation = general_round_oracle_deviation(*case)
+    except ZeroProbabilityError:
+        assume(False)
+    assert deviation < ORACLE_ATOL
+
+
+@PROPERTY
+@given(round_cases())
+def test_outcome_probabilities_of_each_preparation_sum_to_one(case):
+    from qbattery.validate import kraus_set, povm_apply
+
+    state, _, params, tau = case
+    ks = kraus_set(params, tau)
+
+    def probability(kind):
+        try:
+            return povm_apply(kind, state, ks)[1]
+        except ZeroProbabilityError:
+            return 0.0  # below ZERO_PROBABILITY_ATOL
+
+    for pair in (("eg", "ee"), ("gg", "ge")):
+        assert sum(probability(kind) for kind in pair) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_interval_grids_match_scalar_calls():
