@@ -208,9 +208,14 @@ def _fmt(value) -> str:
 
 
 def write_csv(path: Path, header: list[str], rows) -> None:
+    """The schema line, ``header`` and ``rows``: sequences of values, each
+    written by ``_fmt``, or the body already rendered as one string."""
     with open(path, "w", newline="") as fh:
         fh.write(f"# schema={SCHEMA_VERSION}\n")
         fh.write(",".join(header) + "\n")
+        if isinstance(rows, str):
+            fh.write(rows)
+            return
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
@@ -218,18 +223,30 @@ def write_csv(path: Path, header: list[str], rows) -> None:
 def cmd_sweep_theta_q(config: dict, out: Path) -> None:
     params = _build_params(config)
     sweep = config["sweep"]
+    for key in ("theta_points", "q_points"):
+        if int(sweep[key]) < 1:
+            raise ConfigError(f"sweep.{key} must be >= 1, got {sweep[key]}")
     thetas = np.linspace(0.0, math.pi, int(sweep["theta_points"]))
     qs = np.linspace(0.0, 1.0, int(sweep["q_points"]))
-    c_values = [float(c) for c in sweep["c_values"]]
+    c_values = np.array([float(c) for c in sweep["c_values"]])
+    if c_values.size == 0:
+        raise ConfigError("sweep.c_values must hold at least one coherence")
     for c in c_values:
-        ChargerSpec(q=0.0, theta=0.0, c=c)  # rejects a coherence outside [0, 1]
-    c, theta, q = (grid.ravel() for grid in np.meshgrid(c_values, thetas, qs, indexing="ij"))
+        try:
+            ChargerSpec(q=0.0, theta=0.0, c=c)
+        except ValueError as err:
+            raise ConfigError(f"sweep.c_values: {err}") from err
     tau = float(sweep["tau"])
     if not (math.isfinite(tau) and tau >= 0.0):
         raise ConfigError(f"sweep.tau must be finite and >= 0, got {tau}")
-    populations = thermal_state(params).populations
-    ratio = _mean_ratios(populations, params, tau, q, theta, c)
-    write_csv(out, ["theta", "q", "c", "ratio"], zip(theta, q, c, ratio))
+    c, theta, q = (grid.ravel() for grid in np.meshgrid(c_values, thetas, qs, indexing="ij"))
+    ratio = _mean_ratios(thermal_state(params).populations, params, tau, q, theta, c)
+    # Each axis is rendered once, with the repr that _fmt gives a float,
+    # and the rows are joined in the meshgrid's (c, theta, q) order.
+    theta_text, q_text, c_text = ([repr(v) for v in axis.tolist()] for axis in (thetas, qs, c_values))
+    points = [f"{t},{qv},{cv}," for cv in c_text for t in theta_text for qv in q_text]
+    body = "".join(f"{point}{r!r}\n" for point, r in zip(points, ratio.tolist()))
+    write_csv(out, ["theta", "q", "c", "ratio"], body)
 
 
 def _prepared_states(initial: BatteryState, params: SystemParams, scheme: str, rounds: int,
@@ -262,7 +279,10 @@ def cmd_interval_sweep(config: dict, out: Path) -> None:
     if scheme not in ("power_on", "power_off"):
         raise ConfigError(f"interval_sweep needs a named scheme, got {scheme!r}")
     one_round = power_on_round if scheme == "power_on" else power_off_round
-    taus = np.linspace(0.0, float(sweep["tau_max"]), int(sweep["tau_points"]) + 1)[1:]
+    tau_max = float(sweep["tau_max"])
+    if not (math.isfinite(tau_max) and tau_max > 0.0):
+        raise ConfigError(f"sweep.tau_max must be finite and > 0, got {tau_max}")
+    taus = np.linspace(0.0, tau_max, int(sweep["tau_points"]) + 1)[1:]
     m_values = [int(m) for m in sweep["m_values"]]
     if any(m < 1 for m in m_values):
         raise ConfigError(f"sweep.m_values must be >= 1, got {sweep['m_values']}")

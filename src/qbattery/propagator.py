@@ -39,28 +39,32 @@ def rabi_frequency(params: SystemParams, n) -> float | np.ndarray:
 @functools.lru_cache(maxsize=8)
 def _ladder(params: SystemParams, shift: int) -> tuple[np.ndarray, ...]:
     """Read-only constants of blocks n = shift..N+shift that every interval
-    shares: O_n, a divisor equal to O_n (1 where O_n = 0), the mask
-    O_n == 0, and g^2 n."""
+    shares: O_n, a divisor equal to O_n (1 where O_n = 0), the indices of
+    the blocks with O_n == 0 (usually none), and g^2 n."""
     blocks = np.arange(params.dim) + shift
     omega = rabi_frequency(params, blocks)
-    ladder = (omega, np.where(omega > 0.0, omega, 1.0), omega == 0.0, params.g**2 * blocks)
+    ladder = (omega, np.where(omega > 0.0, omega, 1.0), np.flatnonzero(omega == 0.0), params.g**2 * blocks)
     for array in ladder:
         array.flags.writeable = False
     return ladder
 
 
-def _rotation(params: SystemParams, tau, shift: int):
-    """The ladder of blocks shift..N+shift, ``tau`` reshaped to broadcast
-    against it, and sin(O_n tau)/O_n (limit tau as O_n -> 0); a 1-D array
-    of T intervals gives shape (T, N+1), built in one buffer."""
-    ladder = _ladder(params, shift)
+def _intervals(tau) -> np.ndarray:
+    """``tau`` as floats with a trailing axis that broadcasts against a
+    ladder: a 1-D array of T intervals gives shape (T, 1)."""
+    return np.asarray(tau, dtype=float)[..., None]
+
+
+def _rotation(ladder: tuple, tau: np.ndarray) -> np.ndarray:
+    """sin(O_n tau)/O_n on ``ladder`` (limit tau as O_n -> 0) for the
+    ``_intervals`` array ``tau``, built in one buffer."""
     omega, divisor, zero, _ = ladder
-    tau = np.asarray(tau, dtype=float)[..., None]
     s = np.multiply(omega, tau)
     np.sin(s, out=s)
     np.divide(s, divisor, out=s)
-    np.copyto(s, tau, where=zero)
-    return ladder, tau, s
+    if zero.size:
+        s[..., zero] = tau
+    return s
 
 
 def _amplitude_vectors(params: SystemParams, tau) -> tuple[np.ndarray, np.ndarray]:
@@ -73,7 +77,8 @@ def _amplitude_vectors(params: SystemParams, tau) -> tuple[np.ndarray, np.ndarra
     swap[0] = 0 since level 0 has no partner below it. A 1-D array of
     intervals gives shape (T, N+1).
     """
-    (omega, *_), tau, s = _rotation(params, tau, 0)
+    ladder, tau = _ladder(params, 0), _intervals(tau)
+    omega, s = ladder[0], _rotation(ladder, tau)
     stay = np.cos(omega * tau) + 0.5j * params.delta * s
     swap = -1j * np.exp(-0.5j * params.delta * tau) * params.g * np.sqrt(np.arange(params.dim)) * s
     return stay, swap
@@ -81,29 +86,48 @@ def _amplitude_vectors(params: SystemParams, tau) -> tuple[np.ndarray, np.ndarra
 
 def _map_weights(params: SystemParams, tau, kind: str) -> np.ndarray:
     """|matrix element|^2 of one Kraus operator on each level it writes
-    to, in real arithmetic with s_n = sin(O_n tau)/O_n: |swap_n|^2 =
+    to; a 1-D array of intervals gives shape (T, N+1)."""
+    return _ladder_weights(params, _kind_ladder(params, kind), _intervals(tau), kind)
+
+
+def _kind_ladder(params: SystemParams, kind: str) -> tuple[np.ndarray, ...]:
+    """The ``_ladder`` whose blocks hold the levels ``kind`` writes to:
+    ge and ee read block n+1 for level n."""
+    return _ladder(params, int(kind in ("ge", "ee")))
+
+
+def _ladder_weights(params: SystemParams, ladder: tuple, tau: np.ndarray, kind: str) -> np.ndarray:
+    """``_map_weights`` on the ``_kind_ladder`` for ``_intervals``
+    ``tau``, in real arithmetic with s_n = sin(O_n tau)/O_n: |swap_n|^2 =
     g^2 n s_n^2 for eg and |swap_{n+1}|^2 for ge, |stay_n|^2 = cos^2(O_n tau)
     + (delta s_n/2)^2 for gg, and |stay_{n+1}|^2 then the uncoupled top
-    level's 1 for ee."""
-    (omega, _, _, g2n), tau, s = _rotation(params, tau, int(kind in ("ge", "ee")))
+    level's 1 for ee. A caller scoring many intervals of one ladder looks
+    it up once and passes it here."""
+    s = _rotation(ladder, tau)
     if kind in ("eg", "ge"):
         np.square(s, out=s)
-        s *= g2n
+        s *= ladder[3]
         return s
-    stay = np.cos(omega * tau) ** 2 + (0.5 * params.delta * s) ** 2
+    stay = np.cos(ladder[0] * tau) ** 2 + (0.5 * params.delta * s) ** 2
     if kind == "ee":
         stay[..., -1] = 1.0
     return stay
 
 
-def _diagonal_map(kind: str, weights: np.ndarray, populations: np.ndarray) -> np.ndarray:
-    """Unnormalized populations after the map of one Kraus kind: eg moves
-    p_{n-1} up to level n, ge moves p_{n+1} down, gg and ee keep levels in
-    place, each times the weight of the level it lands on. ``weights``
-    may carry an interval axis and may be a read-only cached grid, so the
-    result is a fresh array."""
+def _shifted(kind: str, populations: np.ndarray) -> np.ndarray:
+    """The populations each level of ``kind``'s map draws from: eg moves
+    p_{n-1} up to level n, ge moves p_{n+1} down, gg and ee keep levels
+    in place."""
     if kind == "eg":
-        populations = np.concatenate([[0.0], populations[:-1]])
-    elif kind == "ge":
-        populations = np.concatenate([populations[1:], [0.0]])
-    return weights * populations
+        return np.concatenate([[0.0], populations[:-1]])
+    if kind == "ge":
+        return np.concatenate([populations[1:], [0.0]])
+    return populations
+
+
+def _diagonal_map(kind: str, weights: np.ndarray, populations: np.ndarray) -> np.ndarray:
+    """Unnormalized populations after the map of one Kraus kind: the
+    ``_shifted`` populations times the weight of the level each lands on.
+    ``weights`` may carry an interval axis and may be a read-only cached
+    grid, so the result is a fresh array."""
+    return weights * _shifted(kind, populations)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .propagator import ZeroProbabilityError, _diagonal_map, _map_weights
+from .propagator import ZeroProbabilityError, _diagonal_map, _intervals, _kind_ladder, _ladder_weights, _map_weights, _shifted
 from .rounds import _NAMED_SCHEMES, RoundRecord, _named_populations, general_round, power_off_round, power_on_round
 from .states import BatteryState, ChargerSpec, SystemParams, mean_occupation
 from .thermo import energy, snapshot
@@ -168,9 +168,7 @@ def tau_opt_numeric(
     """
     taus, out = _tau_grid(state, params, scheme, tau_max, grid_points)
     i = int(out.sum(axis=-1).argmax())
-    lo = taus[i - 1] if i > 0 else taus[i] / 2.0
-    hi = taus[i + 1] if i + 1 < taus.size else taus[i]
-    return _golden_max(lambda t: round_probability(state, params, scheme, t), lo, hi)
+    return _refine(state, params, scheme, taus, i, np.add.reduce)
 
 
 def power_off_objective(
@@ -235,12 +233,35 @@ def tau_opt_power_off(
     vals = _compromise(state, out, cumulative_p, x, objective)
     if not (vals > 0.0).any():
         raise NoChargingError("no candidate interval raises the mean population")
-    i = int(vals.argmax())
+    return _refine(
+        state, params, "power_off", taus, int(vals.argmax()),
+        lambda out: _compromise(state, out, cumulative_p, x, objective),
+    )
+
+
+def _refine(state: BatteryState, params: SystemParams, scheme: str, taus: np.ndarray, i: int,
+            score) -> float:
+    """Golden-section refinement of grid point ``i`` between its two
+    neighbors, maximizing ``score`` of the unnormalized populations after
+    a round of ``scheme``.
+
+    The ladder and the shifted populations do not depend on the interval,
+    so they are prepared once; each point then runs the ufuncs of
+    ``_map_weights`` and ``_diagonal_map`` and scores bit for bit the
+    value that ``round_probability`` or ``power_off_objective`` returns.
+    """
     lo = taus[i - 1] if i > 0 else taus[i] / 2.0
     hi = taus[i + 1] if i + 1 < taus.size else taus[i]
-    return _golden_max(
-        lambda t: power_off_objective(state, params, t, cumulative_p, x, objective), lo, hi
-    )
+    kind = _NAMED_SCHEMES[scheme][0]
+    ladder = _kind_ladder(params, kind)
+    shifted = _shifted(kind, state.populations)
+
+    def at(tau):
+        out = _ladder_weights(params, ladder, _intervals(tau), kind)
+        out *= shifted
+        return score(out)
+
+    return _golden_max(at, lo, hi)
 
 
 def _fixed_or_analytic(policy: str, scheme: str, params: SystemParams, fixed_tau: float | None):

@@ -83,6 +83,33 @@ def test_invalid_sweep_interval_is_a_config_error(tmp_path, capsys, tau):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("assignment, message", [
+    ("sweep.theta_points=0", "sweep.theta_points must be >= 1"),
+    ("sweep.q_points=0", "sweep.q_points must be >= 1"),
+    ("sweep.c_values=[2.0]", "sweep.c_values: c must lie in [0, 1], got 2.0"),
+    ("sweep.c_values=[]", "sweep.c_values must hold at least one coherence"),
+])
+def test_invalid_sweep_grid_is_a_config_error(tmp_path, capsys, assignment, message):
+    # an empty axis used to exit 0 with a header-only CSV, and an invalid
+    # coherence to exit 3
+    out = tmp_path / "x.csv"
+    argv = ["sweep_theta_q", "--out", str(out), "--set", "sweep.theta_points=3",
+            "--set", "sweep.q_points=3", "--set", assignment]
+    assert main(argv) == 1
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tau_max", ["-1", "0", "NaN", "Infinity"])
+def test_invalid_interval_sweep_span_is_a_config_error(tmp_path, capsys, tau_max):
+    out = tmp_path / "x.csv"
+    argv = ["interval_sweep", "--out", str(out), "--set", "params.n_levels=20",
+            "--set", "sweep.m_values=[1]", "--set", f"sweep.tau_max={tau_max}"]
+    assert main(argv) == 1
+    assert "config error: sweep.tau_max must be finite and > 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_output_directory_is_a_config_error(tmp_path):
     out = tmp_path / "no" / "such" / "dir" / "x.csv"
     assert main(["power_on", "--out", str(out)]) == 1
@@ -213,6 +240,28 @@ def test_sweep_theta_q_corners(tmp_path):
     # initial coherence weakens the near-corner charging ratios
     assert table[(pi / 4, 0.25, 1.0)] < table[(pi / 4, 0.25, 0.0)]
     assert table[(3 * pi / 4, 0.75, 1.0)] < table[(3 * pi / 4, 0.75, 0.0)]
+
+
+@pytest.mark.parametrize("c_values", [[0.0, 0.5, 1.0], [-0.0, 0.0]])
+def test_sweep_theta_q_bytes_match_a_per_cell_rendering(tmp_path, c_values):
+    # the command renders each axis once; -0.0 must not share 0.0's text
+    from qbattery.cli import _build_params, _fmt, load_config
+    from qbattery.rounds import _mean_ratios
+    from qbattery.states import thermal_state
+
+    sets = ["sweep.theta_points=1", "sweep.q_points=3", f"sweep.c_values={json.dumps(c_values)}"]
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep_theta_q", "--out", str(out)] + [a for s in sets for a in ("--set", s)]) == 0
+    config = load_config("sweep_theta_q", None, sets)
+    params = _build_params(config)
+    grids = np.meshgrid(c_values, [0.0], [0.0, 0.5, 1.0], indexing="ij")
+    c, theta, q = (grid.ravel() for grid in grids)
+    ratio = _mean_ratios(thermal_state(params).populations, params, config["sweep"]["tau"], q, theta, c)
+    expected = "# schema=1\ntheta,q,c,ratio\n" + "".join(
+        ",".join(_fmt(v) for v in row) + "\n" for row in zip(theta, q, c, ratio)
+    )
+    assert out.read_text() == expected
+    assert len(expected.splitlines()) == 2 + 3 * len(c_values)
 
 
 def test_interval_sweep_outputs(tmp_path):

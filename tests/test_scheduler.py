@@ -315,7 +315,7 @@ def test_cached_grid_gives_bit_identical_intervals_randomized():
     rng = np.random.default_rng(11)
     for _ in range(60):
         params = SystemParams(
-            n_levels=int(rng.choice([5, 30, 100])),
+            n_levels=int(rng.choice([5, 30, 100, 400])),
             g=float(rng.choice([0.03, 0.04, 0.05])),
             delta=float(rng.choice([0.0, 0.02, -0.03])),
             beta=float(rng.uniform(0.02, 1.0)),
@@ -332,6 +332,49 @@ def test_cached_grid_gives_bit_identical_intervals_randomized():
         # the second call reads the grid the first one cached
         assert _optimized_tau(*case) == expected
         assert _optimized_tau(*case) == expected
+
+
+def test_refinement_prepares_each_state_once(monkeypatch):
+    # the ladder and the shifted populations are set up once per call, not
+    # once per golden-section point: the counts stay put while the number
+    # of points changes with the grid
+    import qbattery.propagator as propagator
+    import qbattery.rounds as rounds
+    import qbattery.scheduler as scheduler
+
+    counts = {"maps": 0, "points": 0}
+    original_map, original_golden = propagator._diagonal_map, scheduler._golden_max
+
+    def counted_map(*args):
+        counts["maps"] += 1
+        return original_map(*args)
+
+    def counted_golden(f, lo, hi, *args):
+        def point(tau):
+            counts["points"] += 1
+            return f(tau)
+        return original_golden(point, lo, hi, *args)
+
+    for module in (propagator, rounds, scheduler):
+        monkeypatch.setattr(module, "_diagonal_map", counted_map)
+    monkeypatch.setattr(scheduler, "_golden_max", counted_golden)
+    state = thermal_state(WARM)
+    for optimize in (
+        lambda tau_max, points: tau_opt_numeric(state, WARM, "power_on", tau_max, points),
+        lambda tau_max, points: tau_opt_power_off(state, WARM, tau_max=tau_max, grid_points=points),
+    ):
+        seen = set()
+        for grid in ((None, 400), (150.0, 37)):
+            optimize(*grid)  # fills the grid cache
+            ladder = propagator._ladder.cache_info()
+            counts.update(maps=0, points=0)
+            optimize(*grid)
+            after = propagator._ladder.cache_info()
+            lookups = after.hits + after.misses - ladder.hits - ladder.misses
+            assert counts["points"] > 10
+            assert (lookups, counts["maps"]) == (1, 1)
+            seen.add(counts["points"])
+        assert len(seen) == 2
 
 
 def test_cached_arrays_are_read_only():
@@ -390,6 +433,16 @@ def test_round_between_optimizations_leaves_the_cache_unchanged():
         np.testing.assert_array_equal(array, copy)
     assert tau_opt_numeric(post, WARM) == _fresh_tau(post, WARM, "power_on", None, 400)
     assert _grid_weights.cache_info().hits == grid_info.hits + 1
+
+
+@pytest.mark.parametrize("tau", [-8.0, math.nan, math.inf, np.array([1.0, -1.0]), np.array([2.0, math.nan])])
+def test_objectives_reject_an_invalid_interval(tau):
+    state = thermal_state(WARM)
+    for objective in (lambda t: round_probability(state, WARM, "power_on", t),
+                      lambda t: round_probability(state, WARM, "power_off", t),
+                      lambda t: power_off_objective(state, WARM, t)):
+        with pytest.raises(ValueError, match="tau must be >= 0 and finite"):
+            objective(tau)
 
 
 @pytest.mark.parametrize("tau_max, grid_points, match", [
