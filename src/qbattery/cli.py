@@ -207,17 +207,16 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_csv(path: Path, header: list[str], rows) -> None:
-    """The schema line, ``header`` and ``rows``: sequences of values, each
-    written by ``_fmt``, or the body already rendered as one string."""
+def _write_lines(path: Path, header: list[str], lines) -> None:
+    """The schema line, ``header`` and the already rendered ``lines``."""
     with open(path, "w", newline="") as fh:
         fh.write(f"# schema={SCHEMA_VERSION}\n")
         fh.write(",".join(header) + "\n")
-        if isinstance(rows, str):
-            fh.write(rows)
-            return
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.writelines(lines)
+
+
+def write_csv(path: Path, header: list[str], rows) -> None:
+    _write_lines(path, header, (",".join(_fmt(v) for v in row) + "\n" for row in rows))
 
 
 def cmd_sweep_theta_q(config: dict, out: Path) -> None:
@@ -245,8 +244,8 @@ def cmd_sweep_theta_q(config: dict, out: Path) -> None:
     # and the rows are joined in the meshgrid's (c, theta, q) order.
     theta_text, q_text, c_text = ([repr(v) for v in axis.tolist()] for axis in (thetas, qs, c_values))
     points = [f"{t},{qv},{cv}," for cv in c_text for t in theta_text for qv in q_text]
-    body = "".join(f"{point}{r!r}\n" for point, r in zip(points, ratio.tolist()))
-    write_csv(out, ["theta", "q", "c", "ratio"], body)
+    _write_lines(out, ["theta", "q", "c", "ratio"],
+                 (f"{point}{r!r}\n" for point, r in zip(points, ratio.tolist())))
 
 
 def _prepared_states(initial: BatteryState, params: SystemParams, scheme: str, rounds: int,
@@ -280,8 +279,8 @@ def cmd_interval_sweep(config: dict, out: Path) -> None:
         raise ConfigError(f"interval_sweep needs a named scheme, got {scheme!r}")
     one_round = power_on_round if scheme == "power_on" else power_off_round
     tau_max = float(sweep["tau_max"])
-    if not (math.isfinite(tau_max) and tau_max > 0.0):
-        raise ConfigError(f"sweep.tau_max must be finite and > 0, got {tau_max}")
+    if not (math.isfinite(tau_max) and tau_max >= 0.0):
+        raise ConfigError(f"sweep.tau_max must be finite and >= 0, got {tau_max}")
     taus = np.linspace(0.0, tau_max, int(sweep["tau_points"]) + 1)[1:]
     m_values = [int(m) for m in sweep["m_values"]]
     if any(m < 1 for m in m_values):

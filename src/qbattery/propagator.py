@@ -17,6 +17,7 @@ blocks are oracles in ``qbattery.validate``.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -49,22 +50,30 @@ def _ladder(params: SystemParams, shift: int) -> tuple[np.ndarray, ...]:
     return ladder
 
 
-def _intervals(tau) -> np.ndarray:
-    """``tau`` as floats with a trailing axis that broadcasts against a
-    ladder: a 1-D array of T intervals gives shape (T, 1)."""
-    return np.asarray(tau, dtype=float)[..., None]
+def _check_interval(tau) -> None:
+    """Reject a negative or non-finite interval, or an array holding one:
+    the maps are even in tau and would answer for |tau| unasked."""
+    if isinstance(tau, (int, float)):
+        valid = 0.0 <= tau < math.inf
+    else:
+        tau_array = np.asarray(tau, dtype=float)
+        valid = bool(((tau_array >= 0.0) & (tau_array < math.inf)).all())
+    if not valid:
+        raise ValueError(f"tau must be >= 0 and finite, got {tau}")
 
 
-def _rotation(ladder: tuple, tau: np.ndarray) -> np.ndarray:
-    """sin(O_n tau)/O_n on ``ladder`` (limit tau as O_n -> 0) for the
-    ``_intervals`` array ``tau``, built in one buffer."""
+def _rotation(ladder: tuple, tau) -> tuple[np.ndarray, np.ndarray]:
+    """``tau`` reshaped to broadcast against ``ladder``, and sin(O_n tau)/O_n
+    on it (limit tau as O_n -> 0); a 1-D array of T intervals gives shape
+    (T, N+1), built in one buffer."""
     omega, divisor, zero, _ = ladder
+    tau = np.asarray(tau, dtype=float)[..., None]
     s = np.multiply(omega, tau)
     np.sin(s, out=s)
     np.divide(s, divisor, out=s)
     if zero.size:
         s[..., zero] = tau
-    return s
+    return tau, s
 
 
 def _amplitude_vectors(params: SystemParams, tau) -> tuple[np.ndarray, np.ndarray]:
@@ -77,9 +86,10 @@ def _amplitude_vectors(params: SystemParams, tau) -> tuple[np.ndarray, np.ndarra
     swap[0] = 0 since level 0 has no partner below it. A 1-D array of
     intervals gives shape (T, N+1).
     """
-    ladder, tau = _ladder(params, 0), _intervals(tau)
-    omega, s = ladder[0], _rotation(ladder, tau)
-    stay = np.cos(omega * tau) + 0.5j * params.delta * s
+    _check_interval(tau)
+    ladder = _ladder(params, 0)
+    tau, s = _rotation(ladder, tau)
+    stay = np.cos(ladder[0] * tau) + 0.5j * params.delta * s
     swap = -1j * np.exp(-0.5j * params.delta * tau) * params.g * np.sqrt(np.arange(params.dim)) * s
     return stay, swap
 
@@ -87,7 +97,8 @@ def _amplitude_vectors(params: SystemParams, tau) -> tuple[np.ndarray, np.ndarra
 def _map_weights(params: SystemParams, tau, kind: str) -> np.ndarray:
     """|matrix element|^2 of one Kraus operator on each level it writes
     to; a 1-D array of intervals gives shape (T, N+1)."""
-    return _ladder_weights(params, _kind_ladder(params, kind), _intervals(tau), kind)
+    _check_interval(tau)
+    return _ladder_weights(params, _kind_ladder(params, kind), tau, kind)
 
 
 def _kind_ladder(params: SystemParams, kind: str) -> tuple[np.ndarray, ...]:
@@ -96,14 +107,14 @@ def _kind_ladder(params: SystemParams, kind: str) -> tuple[np.ndarray, ...]:
     return _ladder(params, int(kind in ("ge", "ee")))
 
 
-def _ladder_weights(params: SystemParams, ladder: tuple, tau: np.ndarray, kind: str) -> np.ndarray:
-    """``_map_weights`` on the ``_kind_ladder`` for ``_intervals``
-    ``tau``, in real arithmetic with s_n = sin(O_n tau)/O_n: |swap_n|^2 =
-    g^2 n s_n^2 for eg and |swap_{n+1}|^2 for ge, |stay_n|^2 = cos^2(O_n tau)
-    + (delta s_n/2)^2 for gg, and |stay_{n+1}|^2 then the uncoupled top
-    level's 1 for ee. A caller scoring many intervals of one ladder looks
-    it up once and passes it here."""
-    s = _rotation(ladder, tau)
+def _ladder_weights(params: SystemParams, ladder: tuple, tau, kind: str) -> np.ndarray:
+    """``_map_weights`` on its ``_kind_ladder``, for an interval the caller
+    has checked, in real arithmetic with s_n = sin(O_n tau)/O_n: |swap_n|^2
+    = g^2 n s_n^2 for eg and |swap_{n+1}|^2 for ge, |stay_n|^2 =
+    cos^2(O_n tau) + (delta s_n/2)^2 for gg, and |stay_{n+1}|^2 then the
+    uncoupled top level's 1 for ee. A caller scoring many intervals of one
+    ladder looks it up once and passes it here."""
+    tau, s = _rotation(ladder, tau)
     if kind in ("eg", "ge"):
         np.square(s, out=s)
         s *= ladder[3]

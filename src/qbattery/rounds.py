@@ -16,7 +16,6 @@ closed-form single-round ratio over a whole (q, theta, c) grid reuses.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,22 +55,9 @@ class RoundRecord:
 _NAMED_SCHEMES = {"power_on": ("eg", "ground-state"), "power_off": ("ge", "excited-state")}
 
 
-def _check_interval(tau) -> None:
-    """Reject a negative or non-finite interval, or an array holding one:
-    the maps are even in tau and would answer for |tau| unasked."""
-    if isinstance(tau, (int, float)):
-        valid = 0.0 <= tau < math.inf
-    else:
-        tau_array = np.asarray(tau, dtype=float)
-        valid = bool(((tau_array >= 0.0) & (tau_array < math.inf)).all())
-    if not valid:
-        raise ValueError(f"tau must be >= 0 and finite, got {tau}")
-
-
 def _named_populations(populations: np.ndarray, params: SystemParams, tau, scheme: str) -> np.ndarray:
     """Unnormalized populations after a power-on or power-off round; a
     1-D array of intervals adds a leading axis."""
-    _check_interval(tau)
     kind = _NAMED_SCHEMES[scheme][0]
     return _diagonal_map(kind, _map_weights(params, tau, kind), populations)
 
@@ -153,7 +139,6 @@ def general_round(
     """
     if state.populations.size != params.dim:
         raise ValueError("state and params disagree on the ladder size")
-    _check_interval(tau)
     m = _measured_kraus(charger.measured_state(), params, tau)
     rho = state.matrix
     applied = [_band_product(mi, rho) for mi in m]

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .propagator import ZeroProbabilityError, _diagonal_map, _intervals, _kind_ladder, _ladder_weights, _map_weights, _shifted
+from .propagator import ZeroProbabilityError, _diagonal_map, _kind_ladder, _ladder_weights, _map_weights, _shifted
 from .rounds import _NAMED_SCHEMES, RoundRecord, _named_populations, general_round, power_off_round, power_on_round
 from .states import BatteryState, ChargerSpec, SystemParams, mean_occupation
 from .thermo import energy, snapshot
@@ -249,6 +249,8 @@ def _refine(state: BatteryState, params: SystemParams, scheme: str, taus: np.nda
     so they are prepared once; each point then runs the ufuncs of
     ``_map_weights`` and ``_diagonal_map`` and scores bit for bit the
     value that ``round_probability`` or ``power_off_objective`` returns.
+    The bracket lies inside the checked grid, so the points skip the
+    interval check.
     """
     lo = taus[i - 1] if i > 0 else taus[i] / 2.0
     hi = taus[i + 1] if i + 1 < taus.size else taus[i]
@@ -257,7 +259,7 @@ def _refine(state: BatteryState, params: SystemParams, scheme: str, taus: np.nda
     shifted = _shifted(kind, state.populations)
 
     def at(tau):
-        out = _ladder_weights(params, ladder, _intervals(tau), kind)
+        out = _ladder_weights(params, ladder, tau, kind)
         out *= shifted
         return score(out)
 

@@ -100,14 +100,26 @@ def test_invalid_sweep_grid_is_a_config_error(tmp_path, capsys, assignment, mess
     assert not out.exists()
 
 
-@pytest.mark.parametrize("tau_max", ["-1", "0", "NaN", "Infinity"])
+@pytest.mark.parametrize("tau_max", ["-1", "NaN", "Infinity"])
 def test_invalid_interval_sweep_span_is_a_config_error(tmp_path, capsys, tau_max):
+    # a negative span used to scan the intervals at |tau|
     out = tmp_path / "x.csv"
     argv = ["interval_sweep", "--out", str(out), "--set", "params.n_levels=20",
             "--set", "sweep.m_values=[1]", "--set", f"sweep.tau_max={tau_max}"]
     assert main(argv) == 1
-    assert "config error: sweep.tau_max must be finite and > 0" in capsys.readouterr().err
+    assert "config error: sweep.tau_max must be finite and >= 0" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_zero_interval_sweep_span_scans_tau_zero(tmp_path):
+    out = tmp_path / "x.csv"
+    argv = ["interval_sweep", "--out", str(out), "--set", "params.n_levels=20",
+            "--set", "sweep.m_values=[1]", "--set", "sweep.tau_max=0", "--set", "sweep.tau_points=3"]
+    assert main(argv) == 0
+    header, rows = read_csv(out)
+    assert len(rows) == 3
+    tau, prob = header.index("tau"), header.index("prob")
+    assert all(float(row[tau]) == 0.0 and float(row[prob]) == 0.0 for row in rows)
 
 
 def test_missing_output_directory_is_a_config_error(tmp_path):
