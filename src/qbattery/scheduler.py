@@ -186,27 +186,34 @@ def power_off_objective(
     including it. Positive only for intervals that actually charge. A
     1-D array of intervals gives one value per interval.
     """
-    value = _compromise(
-        state, _named_populations(state.populations, params, tau, "power_off"),
-        cumulative_p, x, objective,
-    )
+    out = _named_populations(state.populations, params, tau, "power_off")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        value = _compromise(state, cumulative_p, x, objective)(out)
     return float(value) if value.ndim == 0 else value
 
 
-def _compromise(state: BatteryState, out: np.ndarray, cumulative_p: float, x: float,
-                objective: str) -> np.ndarray:
-    """``power_off_objective`` from the unnormalized post-round
-    populations ``out``, which it overwrites."""
-    prob = out.sum(axis=-1)
-    weight = cumulative_p * prob if objective == "cumulative" else prob
-    with np.errstate(divide="ignore", invalid="ignore"):
+def _compromise(state: BatteryState, cumulative_p: float, x: float, objective: str):
+    """``power_off_objective`` as a function of the unnormalized post-round
+    populations ``out``, which it overwrites. The levels, the mean and log x
+    are fixed for the state, so they are prepared once for all the intervals
+    an optimization scores; call the function under
+    ``np.errstate(divide="ignore", invalid="ignore")``."""
+    levels = np.arange(state.populations.size)
+    mean = mean_occupation(state)
+    log_x = np.log(x)
+
+    def score(out: np.ndarray) -> np.ndarray:
+        prob = out.sum(axis=-1)
+        weight = cumulative_p * prob if objective == "cumulative" else prob
         # a row sum rather than a dot product, so that a grid of intervals
         # and the scalar refinement round alike
-        out *= np.arange(state.populations.size)
-        ratio = out.sum(axis=-1) / prob / mean_occupation(state)
-        value = np.exp(x * weight) * np.log(ratio) / np.log(x)
-    # no outcome, or everything landed on level 0
-    return np.where((prob > 0.0) & (ratio > 0.0), value, -np.inf)
+        out *= levels
+        ratio = out.sum(axis=-1) / prob / mean
+        value = np.exp(x * weight) * np.log(ratio) / log_x
+        # no outcome, or everything landed on level 0
+        return np.where((prob > 0.0) & (ratio > 0.0), value, -np.inf)
+
+    return score
 
 
 def tau_opt_power_off(
@@ -230,13 +237,12 @@ def tau_opt_power_off(
     if x <= 1.0:
         raise ValueError(f"the balance index x must exceed 1, got {x}")
     taus, out = _tau_grid(state, params, "power_off", tau_max, grid_points)
-    vals = _compromise(state, out, cumulative_p, x, objective)
-    if not (vals > 0.0).any():
-        raise NoChargingError("no candidate interval raises the mean population")
-    return _refine(
-        state, params, "power_off", taus, int(vals.argmax()),
-        lambda out: _compromise(state, out, cumulative_p, x, objective),
-    )
+    score = _compromise(state, cumulative_p, x, objective)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals = score(out)
+        if not (vals > 0.0).any():
+            raise NoChargingError("no candidate interval raises the mean population")
+        return _refine(state, params, "power_off", taus, int(vals.argmax()), score)
 
 
 def _refine(state: BatteryState, params: SystemParams, scheme: str, taus: np.ndarray, i: int,

@@ -9,7 +9,7 @@ spacing omega_b.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, InitVar, dataclass, field
 
 import numpy as np
 
@@ -111,13 +111,19 @@ class BatteryState:
     ``populations`` always holds the level occupations. For general
     states ``coherences`` stores the strictly upper-triangular part of
     the density matrix; the full matrix is diag(populations) +
-    coherences + coherences^dagger.
+    coherences + coherences^dagger. ``spectrum`` holds the eigenvalues,
+    read-only: the populations of a diagonal state, and for a general
+    state the ascending ``eigvalsh`` output of its positivity check.
     """
 
     populations: np.ndarray
     coherences: np.ndarray | None = None
+    spectrum: np.ndarray = field(init=False, repr=False)
+    _: KW_ONLY
+    # ``from_matrix`` hands over the spectrum it has already computed
+    _spectrum: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, _spectrum):
         p = np.asarray(self.populations, dtype=float)
         if p.ndim != 1 or p.size < 2:
             raise ValueError("populations must be a vector of length >= 2")
@@ -131,6 +137,7 @@ class BatteryState:
         p = p / p.sum()
         p.flags.writeable = False
         object.__setattr__(self, "populations", p)
+        object.__setattr__(self, "spectrum", p)
         if self.coherences is not None:
             ch = np.asarray(self.coherences, dtype=complex)
             if ch.shape != (p.size, p.size):
@@ -140,9 +147,11 @@ class BatteryState:
             ch = ch.copy()
             ch.flags.writeable = False
             object.__setattr__(self, "coherences", ch)
-            lo = np.linalg.eigvalsh(self.matrix).min()
-            if lo < -PSD_ATOL:
-                raise ValueError(f"state is not positive semidefinite (min eig {lo:.3e})")
+            spectrum = np.linalg.eigvalsh(self.matrix) if _spectrum is None else _spectrum
+            spectrum.flags.writeable = False
+            object.__setattr__(self, "spectrum", spectrum)
+            if spectrum.min() < -PSD_ATOL:
+                raise ValueError(f"state is not positive semidefinite (min eig {spectrum.min():.3e})")
 
     @classmethod
     def diagonal(cls, populations) -> "BatteryState":
@@ -159,27 +168,38 @@ class BatteryState:
         when all off-diagonal elements are below ``DIAG_ATOL``.
 
         ``clip`` > 0 tolerates and removes spectral dust down to -clip
-        (integrator output); the cleaned state is renormalized.
+        (integrator output); the cleaned state is renormalized and keeps
+        the cleaned eigenvalues as its spectrum. A diagonal input is its
+        own spectrum and is cleaned without a diagonalization: by Weyl's
+        bound ``eigh`` would move it by at most (N+1) DIAG_ATOL, and its
+        result would snap back to diagonal form.
         """
         rho = np.asarray(rho, dtype=complex)
         drift = np.abs(rho - rho.conj().T).max()
         if drift > herm_atol:
             raise ValueError(f"matrix is not Hermitian within {herm_atol} (drift {drift:.3e})")
         rho = 0.5 * (rho + rho.conj().T)
-        if clip > 0.0:
-            evals, vecs = np.linalg.eigh(rho)
-            if evals.min() < -clip:
-                raise ValueError(
-                    f"eigenvalue {evals.min():.3e} below the -{clip} clipping threshold"
-                )
-            evals = np.clip(evals, 0.0, None)
-            evals /= evals.sum()
-            rho = (vecs * evals) @ vecs.conj().T
         pops = np.real(np.diag(rho))
         upper = np.triu(rho, k=1)
-        if np.abs(upper).max() <= DIAG_ATOL:
+        diagonal = np.abs(upper).max() <= DIAG_ATOL
+        spectrum = None
+        if clip > 0.0:
+            spectrum, vecs = (pops, None) if diagonal else np.linalg.eigh(rho)
+            if spectrum.min() < -clip:
+                raise ValueError(
+                    f"eigenvalue {spectrum.min():.3e} below the -{clip} clipping threshold"
+                )
+            spectrum = np.clip(spectrum, 0.0, None)
+            spectrum /= spectrum.sum()
+            if diagonal:
+                return cls(spectrum)
+            rho = (vecs * spectrum) @ vecs.conj().T
+            pops = np.real(np.diag(rho))
+            upper = np.triu(rho, k=1)
+            diagonal = np.abs(upper).max() <= DIAG_ATOL
+        if diagonal:
             return cls(pops)
-        return cls(pops, upper)
+        return cls(pops, upper, _spectrum=spectrum)
 
     @property
     def n_levels(self) -> int:

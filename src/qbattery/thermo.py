@@ -18,14 +18,13 @@ def passive_state(state: BatteryState) -> BatteryState:
     """State with the same spectrum but eigenvalues sorted against energy.
 
     The largest eigenvalue sits on the lowest level, so no cyclic
-    unitary can extract work from the result. General states are
-    diagonalized first; only the eigenvalues survive. Idempotent.
+    unitary can extract work from the result (Allahverdyan, Balian &
+    Nieuwenhuizen, EPL 67, 565 (2004)). Only the eigenvalues survive,
+    and they are read from ``state.spectrum``: a general state was
+    diagonalized once, when it was built, and is not diagonalized again.
+    Idempotent.
     """
-    if state.is_diagonal:
-        spectrum = state.populations
-    else:
-        spectrum = np.linalg.eigvalsh(state.matrix)
-    return BatteryState.diagonal(np.sort(np.clip(spectrum, 0.0, None))[::-1])
+    return BatteryState.diagonal(np.sort(np.clip(state.spectrum, 0.0, None))[::-1])
 
 
 def ergotropy(state: BatteryState, params: SystemParams) -> float:

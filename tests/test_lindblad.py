@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -338,3 +339,96 @@ def test_integrate_warns_on_a_negative_eigenvalue():
     populations[:2] = [1.01, -0.01]
     with pytest.warns(UserWarning, match=r"positivity violation -1\.00e-02"):
         integrate(np.diag(populations), 0.1, SMALL, NO_DAMPING)
+
+
+@pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf, -1.0])
+def test_integrate_rejects_an_interval_that_is_not_finite_and_nonnegative(tau):
+    with pytest.raises(ValueError, match="tau must be >= 0 and finite"):
+        integrate(random_joint_state(SMALL), tau, SMALL, DAMPED)
+
+
+def test_cached_excitation_gaps_are_read_only():
+    import qbattery.lindblad as lindblad
+
+    gaps = lindblad._excitation_gaps(SMALL.dim)
+    assert gaps is lindblad._excitation_gaps(SMALL.dim)
+    k = np.add.outer(np.arange(2), np.arange(SMALL.dim)).ravel()
+    np.testing.assert_array_equal(gaps, np.subtract.outer(k, k).ravel())
+    with pytest.raises(ValueError, match="read-only"):
+        gaps[0] = 1
+
+
+def sector_state(rng, params):
+    """A random joint state whose occupied elements all have excitation gap 0."""
+    rho = random_joint_state(params, seed=int(rng.integers(2**32)))
+    k = np.add.outer(np.arange(2), np.arange(params.dim)).ravel()
+    rho[np.subtract.outer(k, k) != 0] = 0.0
+    return rho / np.trace(rho).real
+
+
+def test_sector_lowest_eigenvalue_matches_the_dense_spectrum():
+    import qbattery.lindblad as lindblad
+
+    rng = np.random.default_rng(5)
+    for n_levels in (1, 2, 3, 10, 40):
+        params = SystemParams(n_levels=n_levels, g=0.04)
+        for _ in range(10):
+            rho = sector_state(rng, params)
+            # shift one block so that the lowest eigenvalue can lie anywhere
+            rho -= np.diag(rng.uniform(0.0, 0.2) * (np.arange(rho.shape[0]) == rng.integers(rho.shape[0])))
+            lo = lindblad._sector_lowest_eigenvalue(rho, params.dim)
+            assert lo == pytest.approx(np.linalg.eigvalsh(rho).min(), abs=1e-15)
+
+
+def negative_block_state(params):
+    """A gap-0 joint state whose block {|g,3>, |e,2>} has eigenvalue -1e-6."""
+    dim = params.dim
+    rho = np.zeros((2 * dim, 2 * dim), dtype=complex)
+    g3, e2 = 3, dim + 2
+    rho[g3, g3] = rho[e2, e2] = 0.05
+    rho[g3, e2] = 0.05 + 1e-6
+    rho[e2, g3] = np.conj(rho[g3, e2])
+    rest = [i for i in range(2 * dim) if i not in (g3, e2)]
+    rho[rest, rest] = 0.9 / len(rest)
+    return rho
+
+
+def test_a_negative_excitation_block_warns_like_the_cholesky_route(linalg_calls):
+    rho0 = negative_block_state(SMALL)
+    with pytest.warns(UserWarning) as blockwise:
+        integrate(rho0, 1e-6, SMALL, NO_DAMPING)
+    assert linalg_calls == Counter()
+    # a gap-1 element far below the tolerances widens the support, so the
+    # same spectrum is checked by the Cholesky factor instead
+    rho0[0, SMALL.dim] = rho0[SMALL.dim, 0] = 1e-30
+    with pytest.warns(UserWarning) as dense:
+        integrate(rho0, 1e-6, SMALL, NO_DAMPING)
+    assert linalg_calls == Counter(cholesky=1, eigvalsh=1)
+    messages = [str(w.message) for w in blockwise], [str(w.message) for w in dense]
+    assert messages[0] == messages[1] == ["positivity violation -1.00e-06 beyond 1e-08"]
+
+
+COHERENT = ChargerSpec(q=0.3, theta=1.2, c=1.0)
+
+
+def test_a_general_round_is_diagonalized_once(linalg_calls):
+    params = SystemParams(n_levels=100, g=0.04, delta=0.02, beta=0.1)
+    run_protocol(thermal_state(params), params, "general", 20, "fixed", charger=COHERENT, fixed_tau=8.0)
+    assert linalg_calls == Counter(eigvalsh=20)
+
+
+def test_a_damped_general_round_is_diagonalized_once(linalg_calls):
+    params = SystemParams(n_levels=20, g=0.04, delta=0.02, beta=0.1)
+    diss = DissipationParams.thermal(params, gamma_b=1e-3)
+    dissipative_protocol(thermal_state(params), params, diss, "general", 1, "fixed",
+                         charger=COHERENT, fixed_tau=8.0)
+    assert linalg_calls == Counter(eigh=1, cholesky=1)
+
+
+@pytest.mark.parametrize("scheme, tau", [("power_on", 8.0), ("power_off", 30.0)])
+def test_damped_power_on_and_power_off_rounds_are_never_diagonalized(linalg_calls, scheme, tau):
+    params = SystemParams(n_levels=20, g=0.04, delta=0.02, beta=0.1)
+    diss = DissipationParams.thermal(params, gamma_b=1e-3)
+    damped = dissipative_protocol(thermal_state(params), params, diss, scheme, 2, "fixed", fixed_tau=tau)
+    assert damped.n_rounds == 2 and all(state.is_diagonal for state in damped.states())
+    assert linalg_calls == Counter()

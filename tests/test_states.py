@@ -1,4 +1,6 @@
+import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -209,3 +211,71 @@ def test_from_matrix_rejects_unphysical_spectra():
     rho[0, 1] = rho[1, 0] = 0.3
     with pytest.raises(ValueError):
         BatteryState.from_matrix(rho)
+
+
+def random_density_matrix(rng, dim):
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho).real
+
+
+def test_general_state_keeps_the_spectrum_of_its_positivity_check(linalg_calls):
+    rho = random_density_matrix(np.random.default_rng(11), 6)
+    linalg_calls.clear()
+    state = BatteryState(np.diag(rho).real, np.triu(rho, k=1))
+    assert linalg_calls == Counter(eigvalsh=1)
+    np.testing.assert_allclose(state.spectrum, np.linalg.eigvalsh(state.matrix), atol=1e-15)
+    with pytest.raises(ValueError, match="read-only"):
+        state.spectrum[0] = 0.0
+    diagonal = thermal_state(PARAMS)
+    assert diagonal.spectrum is diagonal.populations
+
+
+def test_a_rebuilt_state_never_reads_a_stale_spectrum():
+    rng = np.random.default_rng(12)
+    # integrator-like dust: one eigenvalue just below zero, which clipping removes
+    vals, vecs = np.linalg.eigh(random_density_matrix(rng, 5))
+    vals[0] = -5e-9
+    dusty = (vecs * (vals / vals.sum())) @ vecs.conj().T
+    states = [
+        BatteryState.from_matrix(random_density_matrix(rng, 5)),
+        BatteryState.from_matrix(random_density_matrix(rng, 5), clip=1e-8),
+        BatteryState.from_matrix(dusty, clip=1e-8),
+    ]
+    # halving the coherences mixes the state with its diagonal: still a
+    # state, with the same populations and another spectrum
+    rebuilt = [dataclasses.replace(state, coherences=0.5 * state.coherences) for state in states]
+    pairs = [(BatteryState(s.populations, s.coherences), BatteryState(s.populations, 0.5 * s.coherences))
+             for s in states]
+    for state in states + rebuilt + [s for pair in pairs for s in pair]:
+        np.testing.assert_allclose(state.spectrum, np.linalg.eigvalsh(state.matrix), atol=1e-14)
+    for state, other in zip(states, rebuilt):
+        assert not np.allclose(other.spectrum, state.spectrum)
+
+
+def test_from_matrix_with_clip_diagonalizes_a_general_input_once(linalg_calls):
+    rho = random_density_matrix(np.random.default_rng(13), 6)
+    linalg_calls.clear()
+    state = BatteryState.from_matrix(rho, clip=1e-8)
+    assert linalg_calls == Counter(eigh=1)
+    assert not state.is_diagonal
+    assert state.spectrum.sum() == pytest.approx(1.0, abs=1e-15)
+    np.testing.assert_allclose(state.spectrum, np.linalg.eigvalsh(rho), atol=1e-14)
+    np.testing.assert_allclose(state.matrix, rho, atol=1e-14)
+
+
+def test_from_matrix_with_clip_cleans_a_diagonal_input_without_eigh(linalg_calls):
+    pops = np.array([0.5, 0.3, 0.2 + 2e-9, -2e-9])
+    rho = np.diag(pops).astype(complex)
+    rho[0, 1] = rho[1, 0] = 1e-13  # below DIAG_ATOL
+    state = BatteryState.from_matrix(rho, clip=1e-8)
+    assert linalg_calls == Counter()
+    assert state.is_diagonal
+    expected = np.clip(pops, 0.0, None)
+    np.testing.assert_allclose(state.populations, expected / expected.sum(), rtol=1e-15)
+    # the same threshold and message as the diagonalizing route
+    for off in (0.0, 1e-3):
+        bad = np.diag([0.5, 0.5 + 1e-6, -1e-6]).astype(complex)
+        bad[0, 1] = bad[1, 0] = off
+        with pytest.raises(ValueError, match=r"eigenvalue -1\.0\d\de-06 below the -1e-08 clipping threshold"):
+            BatteryState.from_matrix(bad, clip=1e-8)

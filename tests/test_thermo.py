@@ -1,7 +1,10 @@
+import functools
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qbattery.thermo as thermo
 from qbattery import (
@@ -178,3 +181,44 @@ def test_zero_energy_change_means_zero_power():
         params=PARAMS, initial_state=state,
     )
     assert charging_power(trajectory, 1) == pytest.approx(0.0, abs=1e-15)
+
+
+@functools.lru_cache(maxsize=None)
+def level_permutations(dim):
+    """Every assignment of dim eigenvalues to the dim levels, one per row."""
+    return np.array(list(itertools.permutations(range(dim))), dtype=np.int8)
+
+
+@st.composite
+def ergotropy_cases(draw):
+    """(state, params) with N <= 8: a diagonal state, a general state, or
+    one cleaned by ``from_matrix(clip>0)`` from a matrix with spectral dust."""
+    params = SystemParams(n_levels=draw(st.integers(1, 8)), g=0.04, delta=draw(st.floats(-0.5, 0.5)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["diagonal", "general", "clipped"]))
+    dim = params.dim
+    if kind == "diagonal":
+        p = rng.uniform(size=dim) ** 3
+        return BatteryState.diagonal(p / p.sum()), params
+    # a rank below dim gives zero eigenvalues, as post-measurement states have
+    shape = (dim, draw(st.integers(1, dim)))
+    a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    vals, vecs = np.linalg.eigh(a @ a.conj().T)
+    vals /= vals.sum()
+    if kind == "general":
+        return BatteryState.from_matrix((vecs * vals) @ vecs.conj().T), params
+    vals[0] = -rng.uniform(0.0, 5e-9)  # integrator dust that clipping removes
+    return BatteryState.from_matrix((vecs * vals) @ vecs.conj().T, clip=1e-8), params
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(ergotropy_cases())
+def test_ergotropy_matches_a_search_over_level_permutations_property(case):
+    # the passive state minimizes the energy over all unitaries, which for a
+    # fixed spectrum means over all assignments of eigenvalues to levels
+    state, params = case
+    spectrum = np.linalg.eigvalsh(state.matrix)
+    levels = params.omega_b * np.arange(params.dim)
+    passive_energy = (spectrum[level_permutations(params.dim)] @ levels).min()
+    brute = max(energy(state, params) - passive_energy, 0.0)
+    assert ergotropy(state, params) == pytest.approx(brute, abs=1e-12)

@@ -72,6 +72,24 @@ def test_only_validate_imports_scipy_linalg():
     assert offenders == []
 
 
+def test_no_second_diagonalization_in_the_round_and_energetics_modules():
+    # a state is diagonalized once, when it is built, and keeps its
+    # spectrum; a call in these modules would diagonalize it again
+    offenders = []
+    for module in ("thermo", "rounds", "scheduler"):
+        path = Path(qbattery.__file__).parent / f"{module}.py"
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [alias.name.rpartition(".")[2] for alias in node.names]
+            else:
+                continue
+            offenders += [f"{module}.py:{node.lineno} {name}" for name in names
+                          if name in ("eigvalsh", "eigh", "cholesky")]
+    assert offenders == []
+
+
 def test_dense_oracles_stay_out_of_the_production_modules():
     # general rounds contract the amplitude bands and the generator is
     # built sparse; a dense Kraus matrix, joint propagator, Hamiltonian
