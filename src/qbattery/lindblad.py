@@ -15,20 +15,23 @@ The generator conserves the excitation gap of every matrix element:
 |i, n> carries k = i + n quanta, H conserves k, and each damping channel
 shifts k by the same amount on both sides of rho (a weak U(1) symmetry,
 Buca & Prosen, New J. Phys. 14, 073007 (2012)). ``integrate`` therefore
-evolves only the elements whose gap k_row - k_col occurs among the
-nonzero elements of the initial state, under a sparse superoperator
-that ``_restricted`` assembles on just those elements from the Kronecker
-factors of ``_liouvillian``: 4(N+1) - 2 elements for a diagonal charger on a
-diagonal battery, about three times that for a coherent charger on a
-diagonal battery, nearly all of them for a battery with coherences.
-The factors depend only on (params, diss), so they are built once per
-pair and cached read-only; each round assembles its own support.
-The elements left out stay exactly zero, as they do in a dense solve.
-The adaptive solver's error norm is an RMS over the solved vector, so
-the tolerances are scaled by sqrt(total / solved); that reproduces the
-error norm, and so the step sequence, of a solve over all elements,
-whose left-out entries contribute exact zeros. The dense right-hand
-side is an oracle in ``qbattery.validate``.
+evolves only the elements whose gap k_row - k_col, or its negative,
+occurs among the nonzero elements of the initial state, under a sparse
+superoperator that ``_restricted`` assembles on just those elements
+from the Kronecker factors of ``_liouvillian``: 4(N+1) - 2 elements for
+a diagonal charger on a diagonal battery, about three times that for a
+coherent charger on a diagonal battery, nearly all of them for a battery
+with coherences. The factors depend only on (params, diss) and the
+restricted generator only on (params, diss, occupied gaps), so each is
+built once and cached read-only (``_liouvillian``, ``_band``); so are
+the support's index maps, which let the Hermiticity and trace checks
+and the symmetrization run on the solved vector. The elements left out
+stay exactly zero, as they do in a dense solve. The adaptive solver's
+error norm is an RMS over the solved vector, so the tolerances are
+scaled by sqrt(total / solved); that reproduces the error norm, and so
+the step sequence, of a solve over all elements, whose left-out entries
+contribute exact zeros. The dense right-hand side and the dense qubit
+projection are oracles in ``qbattery.validate``.
 
 The same symmetry makes the positivity check cheap where it matters.
 A state whose only occupied gap is 0 (every power-on and power-off
@@ -45,6 +48,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -195,6 +199,33 @@ def _excitation_gaps(dim: int) -> np.ndarray:
     return gaps
 
 
+class _Band(NamedTuple):
+    """A support of whole excitation-gap bands, closed under transposition,
+    with the generator restricted to it."""
+
+    index: np.ndarray  # sorted raveled joint indices of the elements
+    partner: np.ndarray  # position in ``index`` of each element's transpose
+    diag: np.ndarray  # positions in ``index`` of the diagonal elements
+    generator: sparse.csr_matrix
+
+
+@functools.lru_cache(maxsize=4)
+def _band(params: SystemParams, diss: DissipationParams, gaps: tuple[int, ...]) -> _Band:
+    """The support of the excitation gaps ``gaps`` (a sorted tuple closed
+    under negation), its index maps and ``_restricted`` on it, built once
+    per (params, diss, gaps); every array is read-only because every
+    round on the same support shares them."""
+    n = 2 * params.dim
+    index = np.flatnonzero(np.isin(_excitation_gaps(params.dim), gaps))
+    row, col = np.divmod(index, n)
+    partner = np.searchsorted(index, col * n + row)
+    generator = _restricted(_liouvillian(params, diss), index)
+    band = _Band(index, partner, np.flatnonzero(row == col), generator)
+    for array in band[:3] + (generator.data, generator.indices, generator.indptr):
+        array.flags.writeable = False
+    return band
+
+
 def _sector_lowest_eigenvalue(rho: np.ndarray, dim: int) -> float:
     """Lowest eigenvalue of a joint state whose elements all have gap 0.
 
@@ -239,16 +270,18 @@ def integrate(
     """Propagate the joint state over one interval with the adaptive
     embedded Runge-Kutta scheme DOP853.
 
-    Only the excitation-gap bands that the initial state occupies are
-    integrated, with ``rtol`` and ``atol`` scaled so that the error norm
-    equals that of a solve over every element.
+    Takes and returns a dense joint matrix, but gathers from it only
+    the excitation-gap bands that it occupies (with their transposes)
+    and integrates those, with ``rtol`` and ``atol`` scaled so that the
+    error norm equals that of a solve over every element.
 
-    The result is re-symmetrized; drifts in Hermiticity, trace, or
-    positivity beyond their tolerances raise a warning rather than an
-    error, since they signal tolerance starvation, not a wrong model.
-    Positivity is checked per excitation block when gap 0 is the only
-    occupied gap, else by a Cholesky factor. ``tau`` must be finite and
-    >= 0.
+    The Hermiticity and trace drifts are measured on the solved vector,
+    which is then re-symmetrized and scattered once into the result;
+    drifts in Hermiticity, trace, or positivity beyond their tolerances
+    raise a warning rather than an error, since they signal tolerance
+    starvation, not a wrong model. Positivity is checked per excitation
+    block when gap 0 is the only occupied gap, else by a Cholesky factor.
+    ``tau`` must be finite and >= 0.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     expected = 2 * params.dim
@@ -258,28 +291,27 @@ def integrate(
     if tau == 0.0:
         return rho0.copy()
     flat0 = rho0.ravel()
-    gaps = _excitation_gaps(params.dim)
-    occupied = np.unique(gaps[flat0 != 0])
-    support = np.flatnonzero(np.isin(gaps, occupied))
-    sub = _restricted(_liouvillian(params, diss), support)
-    scale = math.sqrt(flat0.size / support.size)
+    occupied = np.unique(_excitation_gaps(params.dim)[flat0 != 0])
+    band = _band(params, diss, tuple(np.union1d(occupied, -occupied).tolist()))
+    scale = math.sqrt(flat0.size / band.index.size)
     sol = solve_ivp(
-        lambda t, y: sub @ y, (0.0, tau), flat0[support], method="DOP853",
+        lambda t, y: band.generator @ y, (0.0, tau), flat0[band.index], method="DOP853",
         rtol=rtol * scale, atol=atol * scale, dense_output=False,
     )
     if not sol.success:
         raise RuntimeError(f"integration failed: {sol.message}")
-    rho = np.zeros(flat0.size, dtype=complex)
-    rho[support] = sol.y[:, -1]
-    rho = rho.reshape(expected, expected)
+    y = sol.y[:, -1]
+    transposed = y[band.partner].conj()
     if check:
-        herm = np.abs(rho - rho.conj().T).max()
+        herm = np.abs(y - transposed).max()
         if herm > HERMITICITY_ATOL:
             warnings.warn(f"Hermiticity drift {herm:.2e} exceeds {HERMITICITY_ATOL}")
-        tr = abs(np.trace(rho).real - 1.0)
+        tr = abs(y[band.diag].real.sum() - 1.0)
         if tr > TRACE_ATOL:
             warnings.warn(f"trace drift {tr:.2e} exceeds {TRACE_ATOL}")
-    rho = 0.5 * (rho + rho.conj().T)
+    rho = np.zeros(flat0.size, dtype=complex)
+    rho[band.index] = 0.5 * (y + transposed)
+    rho = rho.reshape(expected, expected)
     if check:
         lo = _positivity_violation(rho, params.dim, np.array_equal(occupied, [0]))
         if lo is not None:
@@ -288,10 +320,19 @@ def integrate(
 
 
 def _project_qubit(rho: np.ndarray, phi: np.ndarray, dim: int) -> tuple[np.ndarray, float]:
+    """The battery state left by projecting the qubit of ``rho`` on
+    ``phi``, unnormalized, and its trace, the outcome probability: the sum
+    of the four (N+1)x(N+1) blocks <i|rho|j> weighted by conj(phi_i) phi_j,
+    skipping a zero weight. Each block is scaled factor by factor, in the
+    order of the dense contraction, so that the two agree bit for bit
+    when phi is real, as every measured state is."""
     blocks = rho.reshape(2, dim, 2, dim)
-    battery = np.einsum("i,injm,j->nm", phi.conj(), blocks, phi)
-    prob = float(np.trace(battery).real)
-    return battery, prob
+    bra = phi.conj()
+    battery = np.zeros((dim, dim), dtype=complex)
+    for i, j in np.ndindex(2, 2):
+        if bra[i] * phi[j] != 0:
+            battery += bra[i] * blocks[i, :, j, :] * phi[j]
+    return battery, float(np.trace(battery).real)
 
 
 def dissipative_protocol(
@@ -339,8 +380,15 @@ def dissipative_protocol(
     phi = qubit_spec.measured_state().astype(complex)
     rho_c = qubit_spec.density_matrix()
 
+    # every round writes its product state into this one buffer, which
+    # ``integrate`` only reads: glibc hands a freed 2(N+1) x 2(N+1) array
+    # (650 KB at N=100) back to the kernel, so a fresh one per round is
+    # faulted in page by page every round
+    joint = np.empty((2, params.dim, 2, params.dim), dtype=complex)
+
     def take_round(state, tau):
-        evolved = integrate(np.kron(rho_c, state.matrix), tau, params, diss, rtol=rtol, atol=atol)
+        np.multiply(rho_c[:, None, :, None], state.matrix[:, None, :], out=joint)
+        evolved = integrate(joint.reshape(2 * params.dim, -1), tau, params, diss, rtol=rtol, atol=atol)
         battery, prob = _project_qubit(evolved, phi, params.dim)
         if prob < ZERO_PROBABILITY_ATOL:
             raise ZeroProbabilityError(f"outcome probability {prob:.3e}")

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from .lindblad import DissipationParams, _jump_operators, _project_qubit, integrate
+from .lindblad import DissipationParams, _jump_operators, dissipative_protocol, integrate
 from .propagator import KRAUS_KINDS, ZERO_PROBABILITY_ATOL, ZeroProbabilityError, _amplitude_vectors
 from .rounds import general_round
 from .states import POWER_OFF, POWER_ON, BatteryState, ChargerSpec, SystemParams, thermal_state
@@ -137,6 +137,14 @@ def joint_unitary(params: SystemParams, tau: float) -> np.ndarray:
     """
     ks = kraus_set(params, tau)
     return np.block([[ks.gg, ks.eg], [ks.ge, ks.ee]])
+
+
+def project_qubit(rho: np.ndarray, phi: np.ndarray, dim: int) -> tuple[np.ndarray, float]:
+    """Project the qubit of a joint state on ``phi`` and trace it out by
+    one dense contraction; returns the unnormalized battery state and the
+    outcome probability."""
+    battery = np.einsum("i,injm,j->nm", phi.conj(), rho.reshape(2, dim, 2, dim), phi)
+    return battery, float(np.trace(battery).real)
 
 
 def _rhs_factory(params: SystemParams, diss: DissipationParams):
@@ -268,7 +276,7 @@ def general_round_oracle_deviation(
     project the qubit, trace it out. Compares unnormalized battery states."""
     u = joint_unitary(params, tau)
     evolved = u @ np.kron(charger.density_matrix(), state.matrix) @ u.conj().T
-    dense, prob = _project_qubit(evolved, charger.measured_state().astype(complex), params.dim)
+    dense, prob = project_qubit(evolved, charger.measured_state().astype(complex), params.dim)
     rec = general_round(state, charger, params, tau)
     return float(np.abs(rec.post_state.matrix * rec.probability - dense).max())
 
@@ -296,6 +304,22 @@ def check_general_round_oracle(
     return CheckResult("general round vs dense joint propagator", worst, ORACLE_ATOL)
 
 
+def _dense_damped_solve(
+    rho0: np.ndarray, params: SystemParams, diss: DissipationParams, tau: float,
+    rtol: float, atol: float,
+) -> np.ndarray:
+    """A DOP853 solve of the dense right-hand side over every joint
+    element, symmetrized like ``integrate``'s result."""
+    dim = rho0.shape[0]
+    rhs = _rhs_factory(params, diss)
+    sol = solve_ivp(
+        lambda t, y: rhs(y.reshape(dim, dim)).ravel(), (0.0, tau), rho0.ravel(),
+        method="DOP853", rtol=rtol, atol=atol,
+    )
+    dense = sol.y[:, -1].reshape(dim, dim)
+    return 0.5 * (dense + dense.conj().T)
+
+
 def lindblad_sector_oracle_deviation(
     state: BatteryState,
     charger: ChargerSpec,
@@ -309,25 +333,20 @@ def lindblad_sector_oracle_deviation(
     DOP853 solve of the dense right-hand side over every joint element,
     at the same tolerances, from the charger (x) battery product state."""
     rho0 = np.kron(charger.density_matrix(), state.matrix)
-    dim = rho0.shape[0]
-    rhs = _rhs_factory(params, diss)
-    sol = solve_ivp(
-        lambda t, y: rhs(y.reshape(dim, dim)).ravel(), (0.0, tau), rho0.ravel(),
-        method="DOP853", rtol=rtol, atol=atol,
-    )
-    dense = sol.y[:, -1].reshape(dim, dim)
+    dense = _dense_damped_solve(rho0, params, diss, tau, rtol, atol)
     sector = integrate(rho0, tau, params, diss, rtol=rtol, atol=atol, check=False)
-    return float(np.abs(sector - 0.5 * (dense + dense.conj().T)).max())
+    return float(np.abs(sector - dense).max())
+
+
+DAMPED_ORACLE_CASES = (
+    ("power_on", POWER_ON, 15.0),
+    ("power_off", POWER_OFF, 8.0),
+    ("general", ChargerSpec(q=0.3, theta=1.2, c=1.0), 8.0),
+)
 
 
 def check_lindblad_sector_oracle(
-    n_levels: int = 20,
-    cases=(
-        (POWER_ON, 15.0),
-        (POWER_OFF, 8.0),
-        (ChargerSpec(q=0.3, theta=1.2, c=1.0), 8.0),
-    ),
-    seed: int = 3,
+    n_levels: int = 20, cases=DAMPED_ORACLE_CASES, seed: int = 3
 ) -> CheckResult:
     """Sector-restricted damped integration vs the dense right-hand side,
     on a thermal (diagonal) state and a random state with coherences."""
@@ -335,10 +354,51 @@ def check_lindblad_sector_oracle(
     diss = DissipationParams(gamma_b=1e-3, gamma_c=2e-3, nbar_th=0.4, nbar_th_c=0.3)
     states = _thermal_and_random_states(params, np.random.default_rng(seed))
     worst = 0.0
-    for charger, tau in cases:
+    for _, charger, tau in cases:
         for state in states:
             worst = max(worst, lindblad_sector_oracle_deviation(state, charger, params, diss, tau))
     return CheckResult("damped integration on occupied sectors vs dense generator", worst, ORACLE_ATOL)
+
+
+def damped_round_oracle_deviation(
+    state: BatteryState,
+    scheme: str,
+    charger: ChargerSpec,
+    params: SystemParams,
+    diss: DissipationParams,
+    tau: float,
+    rtol: float = 1e-9,
+    atol: float = 1e-12,
+) -> float:
+    """Gap between one ``dissipative_protocol`` round and the dense round:
+    the product state by ``kron``, a DOP853 solve of the dense right-hand
+    side at the same tolerances, and the dense projection of the qubit on
+    ``charger``'s measured state (``charger`` must be the spec that
+    ``scheme`` names). The worse of the gaps in the unnormalized post
+    state and in the outcome probability."""
+    rec = dissipative_protocol(
+        state, params, diss, scheme, 1, "fixed", charger=charger, fixed_tau=tau, rtol=rtol, atol=atol,
+    ).rounds[0]
+    rho0 = np.kron(charger.density_matrix(), state.matrix)
+    evolved = _dense_damped_solve(rho0, params, diss, tau, rtol, atol)
+    dense, prob = project_qubit(evolved, charger.measured_state().astype(complex), params.dim)
+    return max(float(np.abs(rec.post_state.matrix * rec.probability - dense).max()),
+               abs(rec.probability - prob))
+
+
+def check_damped_round_oracle(
+    n_levels: int = 20, cases=DAMPED_ORACLE_CASES, seed: int = 4
+) -> CheckResult:
+    """One damped round of each scheme vs the dense round, on a thermal
+    (diagonal) state and a random state with coherences."""
+    params = SystemParams(n_levels=n_levels, g=0.04, delta=0.02, beta=0.1)
+    diss = DissipationParams(gamma_b=1e-3, gamma_c=2e-3, nbar_th=0.4, nbar_th_c=0.3)
+    states = _thermal_and_random_states(params, np.random.default_rng(seed))
+    worst = 0.0
+    for scheme, charger, tau in cases:
+        for state in states:
+            worst = max(worst, damped_round_oracle_deviation(state, scheme, charger, params, diss, tau))
+    return CheckResult("damped round vs dense product, generator and projection", worst, ORACLE_ATOL)
 
 
 def check_gamma_zero_reduction(
@@ -371,5 +431,6 @@ def run_all_checks(fast: bool = False) -> list[CheckResult]:
         check_dense_oracle(),
         check_general_round_oracle(),
         check_lindblad_sector_oracle(),
+        check_damped_round_oracle(),
         check_gamma_zero_reduction(),
     ]

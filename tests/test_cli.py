@@ -414,5 +414,5 @@ def test_validate_command(tmp_path):
     code = main(["validate", "--set", "validate_fast=true", "--out", str(out)])
     assert code == 0
     text = out.read_text()
-    assert text.count("[PASS]") == 7
+    assert text.count("[PASS]") == 8
     assert "FAIL" not in text

@@ -7,6 +7,8 @@ import pytest
 from scipy.linalg import expm
 
 from qbattery import (
+    POWER_OFF,
+    POWER_ON,
     BatteryState,
     ChargerSpec,
     DissipationParams,
@@ -23,6 +25,7 @@ from qbattery.validate import (
     joint_hamiltonian,
     joint_unitary,
     lindblad_rhs,
+    project_qubit,
 )
 
 SMALL = SystemParams(n_levels=10, g=0.04, delta=0.02, beta=0.1)
@@ -273,6 +276,7 @@ def test_dissipative_protocol_builds_the_generator_once(monkeypatch):
     monkeypatch.setattr(lindblad, "integrate", lambda *a, **k: integrated.append(a) or step(*a, **k))
     diss = DissipationParams.thermal(SMALL, 1e-3)
     lindblad._liouvillian.cache_clear()
+    lindblad._band.cache_clear()
     damped = dissipative_protocol(thermal_state(SMALL), SMALL, diss, "power_on", 3, "analytic")
     assert len(damped.rounds) == len(integrated) == 3
     assert lindblad._liouvillian.cache_info().misses == 1
@@ -292,8 +296,10 @@ def test_generators_for_other_parameters_are_never_shared():
     for params, diss in [(replace(SMALL, g=0.05), DAMPED), (SMALL, replace(DAMPED, gamma_c=5e-3)),
                          (SMALL, replace(DAMPED, nbar_th=0.0))]:
         lindblad._liouvillian.cache_clear()
+        lindblad._band.cache_clear()
         cold = integrate(rho0, 5.0, params, diss)
         lindblad._liouvillian.cache_clear()
+        lindblad._band.cache_clear()
         integrate(rho0, 5.0, SMALL, DAMPED)
         after_other = integrate(rho0, 5.0, params, diss)
         warm = integrate(rho0, 5.0, params, diss)
@@ -332,6 +338,113 @@ def test_restricted_generator_rejects_a_support_it_leaves():
     # |g,0><g,1| is carried to |g,0><e,0|, which has the same gap but is left out
     with pytest.raises(ValueError):
         lindblad._restricted(lindblad._liouvillian(SMALL, NO_DAMPING), np.array([1]))
+
+
+def occupied_gaps(rho):
+    k = np.add.outer(np.arange(2), np.arange(rho.shape[0] // 2)).ravel()
+    return tuple(np.unique(np.subtract.outer(k, k)[rho != 0]).tolist())
+
+
+def test_dissipative_protocol_assembles_the_restricted_generator_once(monkeypatch):
+    import qbattery.lindblad as lindblad
+
+    assembled = []
+    assemble = lindblad._restricted
+    monkeypatch.setattr(lindblad, "_restricted", lambda *a: assembled.append(a) or assemble(*a))
+    lindblad._band.cache_clear()
+    diss = DissipationParams.thermal(SMALL, 1e-3)
+    damped = dissipative_protocol(thermal_state(SMALL), SMALL, diss, "power_on", 3, "analytic")
+    assert damped.n_rounds == 3 and len(assembled) == 1
+
+
+@pytest.mark.parametrize("params, diss, wide", [
+    (replace(SMALL, g=0.05), DAMPED, False),
+    (SMALL, replace(DAMPED, gamma_c=5e-3), False),
+    (SMALL, replace(DAMPED, nbar_th=0.0), False),
+    (SMALL, DAMPED, True),
+])
+def test_restricted_generators_for_other_parameters_or_supports_are_never_shared(params, diss, wide):
+    import qbattery.lindblad as lindblad
+
+    # only g, only one rate, only one occupation or only the support
+    # differs from (SMALL, DAMPED) on the gap-0 sector
+    sector = sector_state(np.random.default_rng(2), SMALL)
+    rho0 = random_joint_state(SMALL) if wide else sector
+    lindblad._band.cache_clear()
+    cold = integrate(rho0, 5.0, params, diss)
+    lindblad._band.cache_clear()
+    integrate(sector, 5.0, SMALL, DAMPED)
+    after_other = integrate(rho0, 5.0, params, diss)
+    warm = integrate(rho0, 5.0, params, diss)
+    assert cold.tobytes() == after_other.tobytes() == warm.tobytes()
+    assert lindblad._band.cache_info().misses == 2
+    band = lindblad._band(params, diss, occupied_gaps(rho0))
+    assert lindblad._band.cache_info().misses == 2
+    assert band is not lindblad._band(SMALL, DAMPED, (0,))
+    fresh = lindblad._band.__wrapped__(params, diss, occupied_gaps(rho0))
+    for array, expected in zip(band[:3], fresh[:3]):
+        np.testing.assert_array_equal(array, expected)
+    assert (band.generator != fresh.generator).nnz == 0
+
+
+@pytest.mark.parametrize("gaps", [(0,), (-1, 0, 1)])
+def test_cached_band_maps_are_read_only_and_index_the_transpose_and_diagonal(gaps):
+    import qbattery.lindblad as lindblad
+
+    band = lindblad._band(SMALL, DAMPED, gaps)
+    n = 2 * SMALL.dim
+    row, col = np.divmod(band.index, n)
+    gap = lindblad._excitation_gaps(SMALL.dim)
+    np.testing.assert_array_equal(band.index, np.flatnonzero(np.isin(gap, gaps)))
+    np.testing.assert_array_equal(band.index[band.partner], col * n + row)
+    np.testing.assert_array_equal(band.index[band.diag], np.arange(n) * (n + 1))
+    generator = band.generator
+    for array in band[:3] + (generator.data, generator.indices, generator.indptr):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = array[0]
+
+
+def widened(rho0):
+    """``rho0`` with a Hermitian gap-1 pair far below every tolerance, so
+    that a Cholesky factor checks it instead of the excitation blocks."""
+    rho0 = rho0.copy()
+    rho0[0, SMALL.dim] = rho0[SMALL.dim, 0] = 1e-30
+    return rho0
+
+
+def integrate_warnings(rho0):
+    with pytest.warns(UserWarning) as record:
+        integrate(rho0, 1e-6, SMALL, NO_DAMPING)
+    return [str(w.message) for w in record]
+
+
+def test_a_non_hermitian_input_warns_of_hermiticity_drift():
+    rho0 = np.diag(np.full(2 * SMALL.dim, 1.0 / (2 * SMALL.dim))).astype(complex)
+    sector = rho0.copy()
+    sector[3, SMALL.dim + 2] = 1e-6  # <g,3| rho |e,2>, gap 0, without its transpose
+    wide = rho0.copy()
+    wide[0, SMALL.dim] = 1e-6  # <g,0| rho |e,0>, gap -1, without its transpose
+    expected = ["Hermiticity drift 1.00e-06 exceeds 1e-10"]
+    assert integrate_warnings(sector) == integrate_warnings(wide) == expected
+
+
+def test_an_input_of_trace_one_and_a_half_warns_of_trace_drift():
+    rho0 = np.diag(np.full(2 * SMALL.dim, 1.5 / (2 * SMALL.dim))).astype(complex)
+    expected = ["trace drift 5.00e-01 exceeds 1e-08"]
+    assert integrate_warnings(rho0) == integrate_warnings(widened(rho0)) == expected
+
+
+@pytest.mark.parametrize("spec", [POWER_ON, POWER_OFF, ChargerSpec(q=0.3, theta=1.2, c=1.0)])
+def test_block_projection_matches_the_dense_oracle(spec):
+    import qbattery.lindblad as lindblad
+
+    phi = spec.measured_state().astype(complex)
+    for seed in range(5):
+        rho = random_joint_state(SMALL, seed)
+        battery, prob = lindblad._project_qubit(rho, phi, SMALL.dim)
+        dense, dense_prob = project_qubit(rho, phi, SMALL.dim)
+        assert np.abs(battery - dense).max() < 1e-15
+        assert abs(prob - dense_prob) < 1e-15
 
 
 def test_integrate_warns_on_a_negative_eigenvalue():

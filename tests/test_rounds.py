@@ -380,15 +380,14 @@ def test_closed_form_sweep_matches_general_round():
 @given(round_cases(), st.sampled_from(["power_on", "power_off"]))
 def test_named_rounds_match_the_dense_oracle_property(case, scheme):
     # closed-form population map against embedding, joint propagator and projection
-    from qbattery.lindblad import _project_qubit
-    from qbattery.validate import ORACLE_ATOL, joint_unitary
+    from qbattery.validate import ORACLE_ATOL, joint_unitary, project_qubit
 
     mixed, _, params, tau = case
     state = BatteryState.diagonal(mixed.populations)
     spec, round_fn = (POWER_ON, power_on_round) if scheme == "power_on" else (POWER_OFF, power_off_round)
     u = joint_unitary(params, tau)
     evolved = u @ np.kron(spec.density_matrix(), state.matrix) @ u.conj().T
-    dense, prob = _project_qubit(evolved, spec.measured_state().astype(complex), params.dim)
+    dense, prob = project_qubit(evolved, spec.measured_state().astype(complex), params.dim)
     try:
         rec = round_fn(state, params, tau)
     except ZeroProbabilityError:
