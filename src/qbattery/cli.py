@@ -22,8 +22,10 @@ from pathlib import Path
 import numpy as np
 
 from .lindblad import DissipationParams, dissipative_protocol
-from .rounds import _mean_ratios
-from .scheduler import run_protocol, sample_protocol, tau_opt_analytic, tau_opt_numeric, tau_opt_power_off
+from .propagator import ZeroProbabilityError
+from .rounds import _mean_ratios, _scheme_charger, power_off_round, power_on_round
+from .scheduler import (DAMPED_POLICIES, POLICIES, _interval_chooser, round_probability, run_protocol,
+                        sample_protocol, tau_opt_analytic)
 from .states import (
     BatteryState,
     ChargerSpec,
@@ -248,33 +250,9 @@ def cmd_sweep_theta_q(config: dict, out: Path) -> None:
                  (f"{point}{r!r}\n" for point, r in zip(points, ratio.tolist())))
 
 
-def _prepared_states(initial: BatteryState, params: SystemParams, scheme: str, rounds: int,
-                     schedule: dict) -> tuple[list[tuple[BatteryState, float]], str | None]:
-    """``initial`` and the states after 1, 2, ... ``rounds`` optimally
-    scheduled rounds of one run, each with the cumulative probability
-    accumulated in round order, and the run's truncation reason when it
-    stopped early."""
-    policy = "numeric" if scheme == "power_on" else "power_off_compromise"
-    trajectory = run_protocol(
-        initial, params, scheme, rounds, policy,
-        x=float(schedule["x"]), objective=schedule["objective"],
-        tau_max=schedule["tau_max"], grid_points=int(schedule["grid_points"]),
-    )
-    prepared = [(initial, 1.0)]
-    for rec in trajectory.rounds:
-        prepared.append((rec.post_state, prepared[-1][1] * rec.probability))
-    return prepared, trajectory.truncation_reason
-
-
 def cmd_interval_sweep(config: dict, out: Path) -> None:
-    from .propagator import ZeroProbabilityError
-    from .rounds import power_off_round, power_on_round
-    from .scheduler import round_probability
-
-    params = _build_params(config)
     sweep = config["sweep"]
-    schedule = config["schedule"]
-    scheme = schedule["scheme"]
+    scheme = config["schedule"]["scheme"]
     if scheme not in ("power_on", "power_off"):
         raise ConfigError(f"interval_sweep needs a named scheme, got {scheme!r}")
     one_round = power_on_round if scheme == "power_on" else power_off_round
@@ -285,24 +263,24 @@ def cmd_interval_sweep(config: dict, out: Path) -> None:
     m_values = [int(m) for m in sweep["m_values"]]
     if any(m < 1 for m in m_values):
         raise ConfigError(f"sweep.m_values must be >= 1, got {sweep['m_values']}")
-    grid = dict(tau_max=schedule["tau_max"], grid_points=int(schedule["grid_points"]))
-    prepared, reason = [(thermal_state(params), 1.0)], None
+    # the state entering round m comes from m - 1 rounds of one run under
+    # the scheme's standard policy, and the marker is that run's round-m rule
+    policy = "numeric" if scheme == "power_on" else "power_off_compromise"
+    (initial, params, *_), kwargs, choose_tau = _protocol_call(config, scheme, policy, max(m_values, default=1))
+    prepared, reason = [(initial, 1.0)], None
     rows = []
     for m in m_values:
         if m > 1 and len(prepared) == 1:
             # one run prepares every m, made where the first m > 1 needs it
-            prepared, reason = _prepared_states(prepared[0][0], params, scheme, max(m_values) - 1, schedule)
+            trajectory = run_protocol(initial, params, scheme, max(m_values) - 1, policy, **kwargs)
+            for rec in trajectory.rounds:
+                prepared.append((rec.post_state, prepared[-1][1] * rec.probability))
+            reason = trajectory.truncation_reason
         if m > len(prepared):
             raise ConfigError(f"cannot prepare the round-{m} state: {reason}")
         state, cumulative = prepared[m - 1]
         marker_analytic = tau_opt_analytic(state, params) if scheme == "power_on" else None
-        if scheme == "power_on":
-            marker_numeric = tau_opt_numeric(state, params, scheme, **grid)
-        else:
-            marker_numeric = tau_opt_power_off(
-                state, params, cumulative, x=float(schedule["x"]),
-                objective=schedule["objective"], **grid,
-            )
+        marker_numeric = choose_tau(state, cumulative, m)
         for tau in taus:
             try:
                 rec = one_round(state, params, float(tau))
@@ -385,26 +363,28 @@ def _write_metadata(trajectory, config: dict, experiment: str, path: Path, attem
         fh.write("\n")
 
 
-def _protocol_call(config: dict, scheme: str) -> tuple[tuple, dict]:
-    """Positional and keyword arguments of run_protocol for one config."""
-    params = _build_params(config)
+def _protocol_call(config: dict, scheme: str, policy: str, n_rounds: int, policies=POLICIES,
+                   tau_schedule=None) -> tuple[tuple, dict, object]:
+    """Arguments of run_protocol for one config, and the interval chooser
+    they resolve to; a mistake in the scheme, its charger or the policy
+    (one of ``policies``) is a config error, raised before any round runs."""
     schedule = config["schedule"]
-    args = (thermal_state(params), params, scheme, int(schedule["n_rounds"]), schedule["policy"])
-    kwargs = dict(
-        charger=_build_charger(config) if scheme == "general" else None,
-        fixed_tau=schedule["fixed_tau"],
-        x=float(schedule["x"]),
-        objective=schedule["objective"],
-        tau_max=schedule["tau_max"],
-        grid_points=int(schedule["grid_points"]),
-    )
-    return args, kwargs
+    try:
+        params = _build_params(config)
+        charger = _build_charger(config) if scheme == "general" else None
+        inputs = dict(fixed_tau=schedule["fixed_tau"], x=float(schedule["x"]), objective=schedule["objective"],
+                      tau_max=schedule["tau_max"], grid_points=int(schedule["grid_points"]))
+        _scheme_charger(scheme, charger)
+        choose_tau = _interval_chooser(policy, scheme, params, n_rounds, policies, tau_schedule=tau_schedule,
+                                       **inputs)
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
+    return (thermal_state(params), params, scheme, n_rounds, policy), dict(charger=charger, **inputs), choose_tau
 
 
 def cmd_protocol(config: dict, out: Path, experiment: str) -> None:
     schedule = config["schedule"]
-    scheme = experiment if experiment in ("power_on", "power_off") else schedule["scheme"]
-    args, kwargs = _protocol_call(config, scheme)
+    args, kwargs, _ = _protocol_call(config, experiment, schedule["policy"], int(schedule["n_rounds"]))
     attempts = None
     if schedule["sampling"]:
         trajectory, attempts = sample_protocol(*args, seed=int(config["seed"]), **kwargs)
@@ -416,34 +396,28 @@ def cmd_protocol(config: dict, out: Path, experiment: str) -> None:
 
 
 def cmd_histograms(config: dict, out: Path) -> None:
-    args, kwargs = _protocol_call(config, config["schedule"]["scheme"])
-    _write_histograms(run_protocol(*args, **kwargs), config["schedule"]["histogram_at"], out)
+    schedule = config["schedule"]
+    args, kwargs, _ = _protocol_call(config, schedule["scheme"], schedule["policy"], int(schedule["n_rounds"]))
+    _write_histograms(run_protocol(*args, **kwargs), schedule["histogram_at"], out)
 
 
 def cmd_lindblad(config: dict, out: Path) -> None:
-    params = _build_params(config)
     schedule = config["schedule"]
     d = config["dissipation"]
-    diss = _build_dissipation(config, params)
-    scheme = schedule["scheme"]
-    policy = schedule["policy"]
+    diss = _build_dissipation(config, _build_params(config))
+    scheme, policy, n_rounds = schedule["scheme"], schedule["policy"], int(schedule["n_rounds"])
     tau_schedule = None
     if scheme == "power_off" or policy == "power_off_compromise":
         # mirror the closed-system compromise schedule so the damped run
         # is directly comparable
-        args, kwargs = _protocol_call(config, "power_off")
-        tau_schedule = list(run_protocol(*args[:4], "power_off_compromise", **kwargs).taus())
-        policy = "schedule"
-        scheme = "power_off"
-    trajectory = dissipative_protocol(
-        thermal_state(params), params, diss, scheme,
-        n_rounds=int(schedule["n_rounds"]) if tau_schedule is None else len(tau_schedule),
-        interval_policy=policy,
-        charger=_build_charger(config) if scheme == "general" else None,
-        fixed_tau=schedule["fixed_tau"],
-        tau_schedule=tau_schedule,
-        rtol=float(d["rtol"]), atol=float(d["atol"]),
-    )
+        args, kwargs, _ = _protocol_call(config, "power_off", "power_off_compromise", n_rounds)
+        tau_schedule = list(run_protocol(*args, **kwargs).taus())
+        scheme, policy, n_rounds = "power_off", "schedule", len(tau_schedule)
+    (initial, params, *args), kwargs, _ = _protocol_call(config, scheme, policy, n_rounds, DAMPED_POLICIES,
+                                                         tau_schedule)
+    trajectory = dissipative_protocol(initial, params, diss, *args, charger=kwargs["charger"],
+                                      fixed_tau=kwargs["fixed_tau"], tau_schedule=tau_schedule,
+                                      rtol=float(d["rtol"]), atol=float(d["atol"]))
     write_csv(out, PROTOCOL_HEADER, _trajectory_rows(trajectory, params))
     _write_metadata(trajectory, config, "lindblad", out.with_suffix(".json"))
 

@@ -55,8 +55,8 @@ from scipy import sparse
 from scipy.integrate import solve_ivp
 
 from .propagator import ZERO_PROBABILITY_ATOL, ZeroProbabilityError, _check_interval
-from .rounds import RoundRecord
-from .scheduler import Trajectory, _drive, _fixed_or_analytic
+from .rounds import RoundRecord, _scheme_charger
+from .scheduler import DAMPED_POLICIES, Trajectory, _drive, _interval_chooser
 from .states import BatteryState, ChargerSpec, SystemParams, mean_occupation, thermal_state
 
 HERMITICITY_ATOL = 1e-10
@@ -291,7 +291,12 @@ def integrate(
     if tau == 0.0:
         return rho0.copy()
     flat0 = rho0.ravel()
-    occupied = np.unique(_excitation_gaps(params.dim)[flat0 != 0])
+    # an element is occupied when either of its float halves is nonzero,
+    # so when its two bools, read as one uint16, are
+    nonzero = (flat0.view(float) != 0).view(np.uint16) != 0
+    if not nonzero.any():
+        raise ValueError("the joint state has no occupied element")
+    occupied = np.unique(_excitation_gaps(params.dim)[nonzero])
     band = _band(params, diss, tuple(np.union1d(occupied, -occupied).tolist()))
     scale = math.sqrt(flat0.size / band.index.size)
     sol = solve_ivp(
@@ -353,30 +358,21 @@ def dissipative_protocol(
 
     Each round tensors a fresh qubit onto the battery, integrates the
     damped joint dynamics for the chosen interval, projects the qubit,
-    traces it out, and renormalizes. Interval policies: ``analytic``
-    (power-on only), ``fixed``, or ``schedule`` with an explicit list
-    (e.g. mirrored from a closed-system run so the two are directly
-    comparable).
+    traces it out, and renormalizes. Interval policies
+    (``DAMPED_POLICIES``): ``analytic`` (power-on only), ``fixed``, or
+    ``schedule`` with one interval per round (e.g. mirrored from a
+    closed-system run so the two are directly comparable). An unknown
+    scheme or policy, or a missing input, raises ValueError before any
+    round runs.
 
     Tolerances default tighter than bare ``integrate`` so the spectral
     dust after a few hundred levels stays inside the positivity budget.
     """
-    from .states import POWER_OFF, POWER_ON
-
-    qubit_specs = {"power_on": POWER_ON, "power_off": POWER_OFF, "general": charger}
-    if scheme not in qubit_specs:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    qubit_spec = qubit_specs[scheme]
-    if qubit_spec is None:
-        raise ValueError("the general scheme needs a ChargerSpec")
-    if interval_policy in ("fixed", "analytic"):
-        choose_tau = _fixed_or_analytic(interval_policy, scheme, params, fixed_tau)
-    elif interval_policy == "schedule":
-        if tau_schedule is None or len(tau_schedule) < n_rounds:
-            raise ValueError("schedule policy needs a tau per round")
-        choose_tau = lambda state, cumulative, m: float(tau_schedule[m - 1])
-    else:
-        raise ValueError(f"unknown interval policy {interval_policy!r}")
+    qubit_spec = _scheme_charger(scheme, charger)
+    choose_tau = _interval_chooser(
+        interval_policy, scheme, params, n_rounds, DAMPED_POLICIES,
+        fixed_tau=fixed_tau, tau_schedule=tau_schedule,
+    )
     phi = qubit_spec.measured_state().astype(complex)
     rho_c = qubit_spec.density_matrix()
 

@@ -17,6 +17,7 @@ closed-form single-round ratio over a whole (q, theta, c) grid reuses.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from .propagator import (
     _diagonal_map,
     _map_weights,
 )
-from .states import BatteryState, ChargerSpec, SystemParams
+from .states import POWER_OFF, POWER_ON, BatteryState, ChargerSpec, SystemParams
 from .thermo import ThermoSnapshot
 
 SCHEMES = ("power_on", "power_off", "general")
@@ -51,14 +52,39 @@ class RoundRecord:
             raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
 
 
-# Kraus kind and post-selected qubit outcome of each named scheme.
-_NAMED_SCHEMES = {"power_on": ("eg", "ground-state"), "power_off": ("ge", "excited-state")}
+class _Scheme(NamedTuple):
+    kind: str  # the Kraus operator of the population map
+    outcome: str  # the post-selected qubit outcome
+    charger: ChargerSpec  # the same round as a general charger
+
+
+_NAMED_SCHEMES = {"power_on": _Scheme("eg", "ground-state", POWER_ON),
+                  "power_off": _Scheme("ge", "excited-state", POWER_OFF)}
+
+
+def _scheme_charger(scheme: str, charger: ChargerSpec | None) -> ChargerSpec:
+    """The charger a round of ``scheme`` runs with, a named scheme's own or
+    ``charger``; raises ValueError for any other scheme or a missing charger."""
+    if scheme in _NAMED_SCHEMES:
+        return _NAMED_SCHEMES[scheme].charger
+    if scheme != "general":
+        raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
+    if charger is None:
+        raise ValueError("the general scheme needs a ChargerSpec")
+    return charger
+
+
+def _kind(scheme: str) -> str:
+    """The Kraus kind of a named scheme; raises ValueError for any other."""
+    if scheme not in _NAMED_SCHEMES:
+        raise ValueError(f"no closed-form probability for scheme {scheme!r}")
+    return _NAMED_SCHEMES[scheme].kind
 
 
 def _named_populations(populations: np.ndarray, params: SystemParams, tau, scheme: str) -> np.ndarray:
     """Unnormalized populations after a power-on or power-off round; a
     1-D array of intervals adds a leading axis."""
-    kind = _NAMED_SCHEMES[scheme][0]
+    kind = _kind(scheme)
     return _diagonal_map(kind, _map_weights(params, tau, kind), populations)
 
 
@@ -70,8 +96,7 @@ def _named_round(state: BatteryState, params: SystemParams, tau: float, scheme: 
     out = _named_populations(state.populations, params, tau, scheme)
     prob = float(out.sum())
     if prob < ZERO_PROBABILITY_ATOL:
-        outcome = _NAMED_SCHEMES[scheme][1]
-        raise ZeroProbabilityError(f"{outcome} outcome has probability {prob:.3e}")
+        raise ZeroProbabilityError(f"{_NAMED_SCHEMES[scheme].outcome} outcome has probability {prob:.3e}")
     return RoundRecord(BatteryState.diagonal(out / prob), prob, tau, scheme)
 
 

@@ -9,6 +9,7 @@ Interval policies:
 * ``power_off_compromise`` -- maximizes exp(x * P) * log_x(r), trading
   the charging ratio r of the round against its success probability.
 * ``fixed`` -- a constant interval supplied by the caller.
+* ``schedule`` -- one given interval per round (damped protocol only).
 
 Protocols condition on the desired outcome every round (post-selection)
 and track the cumulative success probability; ``sample_protocol`` adds a
@@ -24,11 +25,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .propagator import ZeroProbabilityError, _diagonal_map, _kind_ladder, _ladder_weights, _map_weights, _shifted
-from .rounds import _NAMED_SCHEMES, RoundRecord, _named_populations, general_round, power_off_round, power_on_round
+from .rounds import (RoundRecord, _kind, _named_populations, _scheme_charger, general_round, power_off_round,
+                     power_on_round)
 from .states import BatteryState, ChargerSpec, SystemParams, mean_occupation
 from .thermo import energy, snapshot
 
 POLICIES = ("analytic", "numeric", "power_off_compromise", "fixed")
+DAMPED_POLICIES = ("analytic", "fixed", "schedule")
+OBJECTIVES = ("per_round", "cumulative")
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -105,15 +109,13 @@ def _tau_grid(
     The map weights depend on the ladder, g, delta and the grid but not on
     the state, so they are built once per grid and each call is a single
     product with the shifted populations."""
-    if scheme not in _NAMED_SCHEMES:
-        raise ValueError(f"no closed-form probability for scheme {scheme!r}")
+    kind = _kind(scheme)
     if tau_max is None:
         tau_max = 2.0 * math.pi / params.g
     if not grid_points >= 1:
         raise ValueError(f"grid_points must be >= 1, got {grid_points}")
     if not (math.isfinite(tau_max) and tau_max > 0.0):
         raise ValueError(f"tau_max must be finite and > 0, got {tau_max}")
-    kind = _NAMED_SCHEMES[scheme][0]
     taus, weights = _grid_weights(params, kind, tau_max, grid_points)
     return taus, _diagonal_map(kind, weights, state.populations)
 
@@ -137,8 +139,6 @@ def round_probability(
 
     A 1-D array of intervals gives one probability per interval.
     """
-    if scheme not in ("power_on", "power_off"):
-        raise ValueError(f"no closed-form probability for scheme {scheme!r}")
     prob = _named_populations(state.populations, params, tau, scheme).sum(axis=-1)
     return float(prob) if prob.ndim == 0 else prob
 
@@ -192,12 +192,20 @@ def power_off_objective(
     return float(value) if value.ndim == 0 else value
 
 
+def _check_compromise(x: float, objective: str) -> None:
+    if x <= 1.0:
+        raise ValueError(f"the balance index x must exceed 1, got {x}")
+    if objective not in OBJECTIVES:
+        raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
+
+
 def _compromise(state: BatteryState, cumulative_p: float, x: float, objective: str):
     """``power_off_objective`` as a function of the unnormalized post-round
     populations ``out``, which it overwrites. The levels, the mean and log x
     are fixed for the state, so they are prepared once for all the intervals
     an optimization scores; call the function under
     ``np.errstate(divide="ignore", invalid="ignore")``."""
+    _check_compromise(x, objective)
     levels = np.arange(state.populations.size)
     mean = mean_occupation(state)
     log_x = np.log(x)
@@ -234,10 +242,8 @@ def tau_opt_power_off(
     """
     if mean_occupation(state) <= 0.0:
         raise NoChargingError("state has no excited population to work with")
-    if x <= 1.0:
-        raise ValueError(f"the balance index x must exceed 1, got {x}")
-    taus, out = _tau_grid(state, params, "power_off", tau_max, grid_points)
     score = _compromise(state, cumulative_p, x, objective)
+    taus, out = _tau_grid(state, params, "power_off", tau_max, grid_points)
     with np.errstate(divide="ignore", invalid="ignore"):
         vals = score(out)
         if not (vals > 0.0).any():
@@ -260,7 +266,7 @@ def _refine(state: BatteryState, params: SystemParams, scheme: str, taus: np.nda
     """
     lo = taus[i - 1] if i > 0 else taus[i] / 2.0
     hi = taus[i + 1] if i + 1 < taus.size else taus[i]
-    kind = _NAMED_SCHEMES[scheme][0]
+    kind = _kind(scheme)
     ladder = _kind_ladder(params, kind)
     shifted = _shifted(kind, state.populations)
 
@@ -272,27 +278,41 @@ def _refine(state: BatteryState, params: SystemParams, scheme: str, taus: np.nda
     return _golden_max(at, lo, hi)
 
 
-def _fixed_or_analytic(policy: str, scheme: str, params: SystemParams, fixed_tau: float | None):
-    """``choose_tau`` of the ``fixed`` or the ``analytic`` policy, the two
-    that the closed and the damped protocols share."""
+def _interval_chooser(policy: str, scheme: str, params: SystemParams, n_rounds: int,
+                      policies: tuple[str, ...] = POLICIES, *, fixed_tau=None, x=10.0,
+                      objective="per_round", tau_max=None, grid_points=400, tau_schedule=None):
+    """``choose_tau(state, cumulative, m)``, round m's interval under
+    ``policy`` in a run of ``n_rounds`` rounds of ``scheme``. Raises
+    ValueError for a policy outside ``policies`` or without a rule for the
+    scheme, or a missing policy input; interval values are checked in use."""
+    if n_rounds < 1:
+        raise ValueError(f"n_rounds must be >= 1, got {n_rounds}")
+    if policy not in policies:
+        raise ValueError(f"policy must be one of {policies}, got {policy!r}")
     if policy == "fixed":
         if fixed_tau is None:
             raise ValueError("fixed policy needs fixed_tau")
         return lambda state, cumulative, m: fixed_tau
-    if scheme != "power_on":
-        raise ValueError("the analytic interval formula applies to the power_on scheme")
-    return lambda state, cumulative, m: tau_opt_analytic(state, params)
+    if policy == "schedule":
+        if tau_schedule is None or len(tau_schedule) < n_rounds:
+            raise ValueError("schedule policy needs a tau per round")
+        return lambda state, cumulative, m: float(tau_schedule[m - 1])
+    if policy == "analytic":
+        if scheme != "power_on":
+            raise ValueError("the analytic interval formula applies to the power_on scheme")
+        return lambda state, cumulative, m: tau_opt_analytic(state, params)
+    if policy == "numeric":
+        _kind(scheme)  # the optimizer scores the closed form of a named scheme
+        return lambda state, cumulative, m: tau_opt_numeric(state, params, scheme, tau_max, grid_points)
+    if scheme != "power_off":
+        raise ValueError("the compromise objective applies to the power_off scheme")
+    _check_compromise(x, objective)
+    return lambda state, cumulative, m: tau_opt_power_off(state, params, cumulative, x, tau_max,
+                                                          grid_points, objective)
 
 
-def _drive(
-    initial: BatteryState,
-    params: SystemParams,
-    scheme: str,
-    n_rounds: int,
-    choose_tau,
-    take_round,
-    no_rounds_error: type[Exception],
-) -> Trajectory:
+def _drive(initial: BatteryState, params: SystemParams, scheme: str, n_rounds: int, choose_tau, take_round,
+           no_rounds_error: type[Exception]) -> Trajectory:
     """The round loop shared by the closed and the damped protocols.
 
     ``choose_tau(state, cumulative, m)`` picks round m's interval and
@@ -300,8 +320,6 @@ def _drive(
     outcome or a power-off stall truncates the trajectory, flagged with
     the failing round; if round 1 fails, ``no_rounds_error`` is raised.
     """
-    if n_rounds < 1:
-        raise ValueError(f"n_rounds must be >= 1, got {n_rounds}")
     state = initial
     records: list[RoundRecord] = []
     cumulative = 1.0
@@ -350,38 +368,24 @@ def run_protocol(
 ) -> Trajectory:
     """Drive ``n_rounds`` post-selected rounds under one interval policy.
 
+    ``scheme`` is one of ``SCHEMES`` (``general`` needs ``charger``) and
+    ``interval_policy`` one of ``POLICIES``; a mistake in either, or in
+    the policy's inputs, raises ValueError before any round runs.
+
     Each record carries the post state, outcome probability, interval,
     and an energy/ergotropy snapshot. A zero-probability outcome or a
     power-off stall truncates the trajectory (flagged with the failing
     round, not raised) since partial trajectories are still useful data;
-    a failure in the very first round raises NoChargingError instead, as
-    does an invalid scheme/policy combination (ValueError).
+    a failure in the very first round raises NoChargingError instead.
     """
-    if scheme == "general" and charger is None:
-        raise ValueError("the general scheme needs a ChargerSpec")
-    if interval_policy in ("fixed", "analytic"):
-        choose_tau = _fixed_or_analytic(interval_policy, scheme, params, fixed_tau)
-    elif interval_policy == "numeric":
-        if scheme == "general":
-            raise ValueError("numeric interval optimization needs a named scheme")
-        choose_tau = lambda state, cumulative, m: tau_opt_numeric(
-            state, params, scheme, tau_max, grid_points
-        )
-    elif interval_policy == "power_off_compromise":
-        if scheme != "power_off":
-            raise ValueError("the compromise objective applies to the power_off scheme")
-        choose_tau = lambda state, cumulative, m: tau_opt_power_off(
-            state, params, cumulative, x, tau_max, grid_points, objective
-        )
-    else:
-        raise ValueError(f"policy must be one of {POLICIES}, got {interval_policy!r}")
+    charger = _scheme_charger(scheme, charger)
+    choose_tau = _interval_chooser(interval_policy, scheme, params, n_rounds, fixed_tau=fixed_tau, x=x,
+                                   objective=objective, tau_max=tau_max, grid_points=grid_points)
 
     def take_round(state, tau):
-        if scheme == "power_on":
-            return power_on_round(state, params, tau)
-        if scheme == "power_off":
-            return power_off_round(state, params, tau)
-        return general_round(state, charger, params, tau)
+        if scheme == "general":
+            return general_round(state, charger, params, tau)
+        return (power_on_round if scheme == "power_on" else power_off_round)(state, params, tau)
 
     return _drive(initial, params, scheme, n_rounds, choose_tau, take_round, NoChargingError)
 
@@ -405,9 +409,7 @@ def sample_protocol(
     Returns the trajectory and that count. Deterministic for a given
     seed; raises RuntimeError past ``max_attempts``.
     """
-    trajectory = run_protocol(
-        initial, params, scheme, n_rounds, interval_policy, **kwargs
-    )
+    trajectory = run_protocol(initial, params, scheme, n_rounds, interval_policy, **kwargs)
     p = trajectory.cumulative_probability
     # rng.geometric rejects p = 0 and saturates for tiny p
     attempts = int(np.random.default_rng(seed).geometric(p)) if p > 0.0 else max_attempts + 1

@@ -18,3 +18,18 @@ def linalg_calls(monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, counted)
     return counts
+
+
+@pytest.fixture
+def no_rounds(monkeypatch):
+    """Every round function of the closed and the damped protocol fails
+    the test if called."""
+    import qbattery.lindblad as lindblad
+    import qbattery.scheduler as scheduler
+
+    def fail(*args, **kwargs):
+        raise AssertionError("a round ran")
+
+    for name in ("power_on_round", "power_off_round", "general_round"):
+        monkeypatch.setattr(scheduler, name, fail)
+    monkeypatch.setattr(lindblad, "integrate", fail)

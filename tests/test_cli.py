@@ -381,6 +381,23 @@ def test_invalid_interval_settings_fail_the_run(tmp_path, capsys, command, sets,
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("command, assignment, message", [
+    ("histograms", "schedule.scheme=bogus", "scheme must be one of"),
+    ("power_on", "schedule.policy=bogus", "policy must be one of"),
+    ("power_on", "schedule.policy=fixed", "fixed policy needs fixed_tau"),
+    ("histograms", "schedule.n_rounds=0", "n_rounds must be >= 1"),
+    ("lindblad", "schedule.scheme=bogus", "scheme must be one of"),
+    ("lindblad", "schedule.policy=numeric", "policy must be one of"),
+    ("power_off", "schedule.objective=bogus", "objective must be one of"),
+])
+def test_invalid_schedule_is_a_config_error(tmp_path, capsys, command, assignment, message):
+    # the first six used to exit 3 and the objective typo to exit 0
+    argv = [command, "--out", str(tmp_path / "x.csv"), "--set", "params.n_levels=8", "--set", assignment]
+    assert main(argv) == 1
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_histograms_command(tmp_path):
     out = tmp_path / "hist.csv"
     code = main([

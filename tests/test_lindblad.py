@@ -82,6 +82,22 @@ def test_integrate_zero_interval_is_identity():
     assert np.array_equal(integrate(rho, 0.0, SMALL, NO_DAMPING), rho)
 
 
+def test_integrate_rejects_a_state_with_no_occupied_element():
+    # the tolerance scale used to divide by the size of an empty support
+    params = SystemParams(n_levels=3, g=0.04)
+    with pytest.raises(ValueError, match="no occupied element"):
+        integrate(np.zeros((8, 8)), 1.0, params, DissipationParams(1e-3, 0, 0, 0))
+
+
+def test_a_purely_imaginary_coherence_occupies_its_gap():
+    rho0 = np.diag(np.full(2 * SMALL.dim, 1.0 / (2 * SMALL.dim))).astype(complex)
+    rho0[0, SMALL.dim] = 1e-3j  # <g,0| rho |e,0>, gap -1, with no real part
+    rho0[SMALL.dim, 0] = -1e-3j
+    evolved = integrate(rho0, 1e-6, SMALL, NO_DAMPING)
+    assert abs(evolved[0, SMALL.dim] - 1e-3j) < 1e-8
+    assert abs(evolved[SMALL.dim, 0] + 1e-3j) < 1e-8
+
+
 def test_integrate_gamma_zero_matches_unitary_conjugation():
     params = SMALL
     rho = np.kron(
@@ -154,6 +170,23 @@ def test_both_protocols_reject_the_same_interval_policy_misuse(scheme, policy, m
         run_protocol(state, SMALL, scheme, 2, policy)
     with pytest.raises(ValueError, match=match):
         dissipative_protocol(state, SMALL, NO_DAMPING, scheme, 2, policy)
+
+
+@pytest.mark.parametrize("charger", [None, ChargerSpec(q=0.3, theta=1.2, c=1.0)])
+def test_both_protocols_reject_an_unknown_scheme_before_any_round(no_rounds, charger):
+    # without a charger the closed protocol used to take the general round,
+    # and with one it ran round 1 before the record rejected the scheme
+    state = thermal_state(SMALL)
+    with pytest.raises(ValueError, match="scheme must be one of"):
+        run_protocol(state, SMALL, "bogus", 2, "fixed", charger=charger, fixed_tau=8.0)
+    with pytest.raises(ValueError, match="scheme must be one of"):
+        dissipative_protocol(state, SMALL, NO_DAMPING, "bogus", 2, "fixed", charger=charger, fixed_tau=8.0)
+
+
+@pytest.mark.parametrize("policy", ["numeric", "power_off_compromise", "bogus"])
+def test_the_damped_protocol_rejects_a_policy_outside_its_set_before_any_round(no_rounds, policy):
+    with pytest.raises(ValueError, match=r"policy must be one of \('analytic', 'fixed', 'schedule'\)"):
+        dissipative_protocol(thermal_state(SMALL), SMALL, NO_DAMPING, "power_on", 2, policy)
 
 
 def test_thermal_dissipation_defaults():

@@ -222,6 +222,20 @@ def test_run_protocol_policy_scheme_mismatches():
         run_protocol(state, WARM, "power_on", 0, "analytic")
 
 
+@pytest.mark.parametrize("objective", ["bogus", "Cumulative", "per-round"])
+def test_compromise_rejects_an_unknown_objective(no_rounds, objective):
+    # every objective but "cumulative" used to score as "per_round"
+    state = thermal_state(WARM)
+    match = r"objective must be one of \('per_round', 'cumulative'\)"
+    with pytest.raises(ValueError, match=match):
+        power_off_objective(state, WARM, 2.0, objective=objective)
+    with pytest.raises(ValueError, match=match):
+        tau_opt_power_off(state, WARM, objective=objective)
+    # the protocol checks it before round 1
+    with pytest.raises(ValueError, match=match):
+        run_protocol(state, WARM, "power_off", 3, "power_off_compromise", objective=objective)
+
+
 def test_run_protocol_truncates_on_zero_probability():
     # tau = pi/(g sqrt(2)) swaps round 1 partially but makes round 2 a
     # full period of the second block, so its outcome never occurs

@@ -112,6 +112,32 @@ def test_dense_oracles_stay_out_of_the_production_modules():
     assert offenders == []
 
 
+def test_schemes_and_interval_optimizers_have_one_home():
+    # rounds maps a scheme to its charger and scheduler maps a policy to
+    # its interval; the copies that other modules kept drifted apart
+    offenders = []
+    for path in sorted(Path(qbattery.__file__).parent.glob("*.py")):
+        module = path.stem
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and module != "scheduler":
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in ("tau_opt_numeric", "tau_opt_power_off"):
+                    offenders.append(f"{path.name}:{node.lineno} {name}()")
+            if module in ("states", "rounds", "validate", "__init__"):
+                continue
+            if isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [alias.name.rpartition(".")[2] for alias in node.names]
+            else:
+                continue
+            offenders += [f"{path.name}:{node.lineno} {name}" for name in names if name in ("POWER_ON", "POWER_OFF")]
+    assert offenders == []
+
+
 @pytest.mark.parametrize("n_levels, g, delta", [(100, 0.04, 0.02), (8, 0.04, 0.0), (10, 0.0, 0.0)])
 def test_sparse_generator_factors_match_the_dense_hamiltonian(n_levels, g, delta):
     params = SystemParams(n_levels=n_levels, g=g, delta=delta, beta=0.1)
