@@ -15,9 +15,12 @@ diagnostics, a Lindblad integrator for damped rounds, and a CLI that
 emits CSV artifacts for each standard experiment. The dense Kraus
 operators, joint propagator and Lindblad right-hand side are oracles in
 ``qbattery.validate``.
+
+The closed-system API loads only numpy. scipy loads on first use of the
+damped extension (``DissipationParams``, ``dissipative_protocol`` and
+``integrate``, served from ``qbattery.lindblad``) or of the oracles.
 """
 
-from .lindblad import DissipationParams, dissipative_protocol, integrate
 from .propagator import ZeroProbabilityError, rabi_frequency
 from .rounds import (
     RoundRecord,
@@ -63,6 +66,22 @@ from .thermo import (
 )
 
 __version__ = "0.1.0"
+
+# served from lindblad, which imports scipy, on first access
+_LINDBLAD_NAMES = ("DissipationParams", "dissipative_protocol", "integrate")
+
+
+def __getattr__(name):
+    if name in _LINDBLAD_NAMES:
+        from . import lindblad
+
+        return getattr(lindblad, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LINDBLAD_NAMES))
+
 
 __all__ = [
     "BatteryState",

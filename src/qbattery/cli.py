@@ -7,6 +7,9 @@ metadata sidecar. See docs/outputs.md for the per-command CSV schemas.
 
 Exit codes: 0 success, 1 config error, 2 validation failure, 3 runtime
 error.
+
+Only the ``lindblad`` and ``validate`` commands load scipy; they import
+their modules when they run.
 """
 
 from __future__ import annotations
@@ -18,14 +21,14 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .lindblad import DissipationParams, dissipative_protocol
 from .propagator import ZeroProbabilityError
 from .rounds import _mean_ratios, _scheme_charger, power_off_round, power_on_round
-from .scheduler import (DAMPED_POLICIES, POLICIES, _interval_chooser, round_probability, run_protocol,
-                        sample_protocol, tau_opt_analytic)
+from .scheduler import (DAMPED_POLICIES, POLICIES, NoChargingError, _interval_chooser, round_probability,
+                        run_protocol, sample_protocol, tau_opt_analytic)
 from .states import (
     BatteryState,
     ChargerSpec,
@@ -36,7 +39,10 @@ from .states import (
     thermal_state,
 )
 from .thermo import energy
-from .validate import run_all_checks
+
+if TYPE_CHECKING:
+    from .lindblad import DissipationParams
+    from .validate import CheckResult
 
 SCHEMA_VERSION = 1
 
@@ -179,6 +185,8 @@ def _build_params(config: dict) -> SystemParams:
 
 def _build_dissipation(config: dict, params: SystemParams) -> DissipationParams:
     """Thermal bath occupations for ``params`` unless the config sets them."""
+    from .lindblad import DissipationParams
+
     d = config["dissipation"]
     try:
         thermal = DissipationParams.thermal(
@@ -280,7 +288,11 @@ def cmd_interval_sweep(config: dict, out: Path) -> None:
             raise ConfigError(f"cannot prepare the round-{m} state: {reason}")
         state, cumulative = prepared[m - 1]
         marker_analytic = tau_opt_analytic(state, params) if scheme == "power_on" else None
-        marker_numeric = choose_tau(state, cumulative, m)
+        try:
+            marker_numeric = choose_tau(state, cumulative, m)
+        except NoChargingError as err:
+            # the run stalls at round m itself; a stall before round m is a config error too
+            raise ConfigError(f"cannot choose the round-{m} marker interval: {err}") from err
         for tau in taus:
             try:
                 rec = one_round(state, params, float(tau))
@@ -402,6 +414,8 @@ def cmd_histograms(config: dict, out: Path) -> None:
 
 
 def cmd_lindblad(config: dict, out: Path) -> None:
+    from .lindblad import dissipative_protocol
+
     schedule = config["schedule"]
     d = config["dissipation"]
     diss = _build_dissipation(config, _build_params(config))
@@ -409,8 +423,9 @@ def cmd_lindblad(config: dict, out: Path) -> None:
     tau_schedule = None
     if scheme == "power_off" or policy == "power_off_compromise":
         # mirror the closed-system compromise schedule so the damped run
-        # is directly comparable
-        args, kwargs, _ = _protocol_call(config, "power_off", "power_off_compromise", n_rounds)
+        # is directly comparable; the compromise of another scheme is a
+        # config error
+        args, kwargs, _ = _protocol_call(config, scheme, "power_off_compromise", n_rounds)
         tau_schedule = list(run_protocol(*args, **kwargs).taus())
         scheme, policy, n_rounds = "power_off", "schedule", len(tau_schedule)
     (initial, params, *args), kwargs, _ = _protocol_call(config, scheme, policy, n_rounds, DAMPED_POLICIES,
@@ -420,6 +435,13 @@ def cmd_lindblad(config: dict, out: Path) -> None:
                                       rtol=float(d["rtol"]), atol=float(d["atol"]))
     write_csv(out, PROTOCOL_HEADER, _trajectory_rows(trajectory, params))
     _write_metadata(trajectory, config, "lindblad", out.with_suffix(".json"))
+
+
+def run_all_checks(fast: bool = False) -> list[CheckResult]:
+    """``qbattery.validate.run_all_checks``, imported on first call."""
+    from . import validate
+
+    return validate.run_all_checks(fast=fast)
 
 
 def cmd_validate(config: dict, out: Path | None) -> int:

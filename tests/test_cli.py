@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -364,6 +368,22 @@ def test_interval_sweep_past_a_truncation_is_a_config_error(tmp_path, capsys, m_
     assert main(["interval_sweep", "--out", str(tmp_path / "x.csv"), "--set", "sweep.m_values=[0]"]) == 1
 
 
+def test_interval_sweep_at_a_power_off_stall_is_a_config_error(tmp_path, capsys):
+    # the round-15 state exists but its marker interval stalls; this m
+    # used to exit 3 where every later m exits 1
+    code = main([
+        "interval_sweep", "--out", str(tmp_path / "x.csv"),
+        "--set", "schedule.scheme=power_off",
+        "--set", "schedule.objective=cumulative",
+        "--set", "sweep.m_values=[15]",
+        "--set", "sweep.tau_points=5",
+    ])
+    assert code == 1
+    assert ("config error: cannot choose the round-15 marker interval: no candidate interval raises the mean "
+            "population") in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command, sets, message", [
     ("power_on", ("schedule.policy=numeric", "schedule.tau_max=-5"), "tau_max"),
     ("power_on", ("schedule.policy=numeric", "schedule.grid_points=0"), "grid_points"),
@@ -389,13 +409,51 @@ def test_invalid_interval_settings_fail_the_run(tmp_path, capsys, command, sets,
     ("lindblad", "schedule.scheme=bogus", "scheme must be one of"),
     ("lindblad", "schedule.policy=numeric", "policy must be one of"),
     ("power_off", "schedule.objective=bogus", "objective must be one of"),
+    ("lindblad", "schedule.policy=power_off_compromise", "the compromise objective applies to the power_off scheme"),
 ])
 def test_invalid_schedule_is_a_config_error(tmp_path, capsys, command, assignment, message):
-    # the first six used to exit 3 and the objective typo to exit 0
+    # the first six used to exit 3, the objective typo to exit 0 and the
+    # damped compromise of a power_on run to run power_off instead
     argv = [command, "--out", str(tmp_path / "x.csv"), "--set", "params.n_levels=8", "--set", assignment]
     assert main(argv) == 1
     assert f"config error: {message}" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+_CLOSED_SYSTEM_RUN = """
+import json, sys
+import qbattery, qbattery.cli
+code = qbattery.cli.main(["power_on", "--out", sys.argv[1],
+                          "--set", "params.n_levels=10", "--set", "schedule.n_rounds=2"])
+scipy_after_run = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+listed = {"DissipationParams", "dissipative_protocol", "integrate"} <= set(dir(qbattery))
+scipy_after_dir = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+served = qbattery.DissipationParams is sys.modules["qbattery.lindblad"].DissipationParams
+star = {}
+exec("from qbattery import *", star)
+print(json.dumps({
+    "code": code, "scipy_after_run": scipy_after_run, "listed": listed,
+    "scipy_after_dir": scipy_after_dir, "served": served,
+    "sparse_loaded": "scipy.sparse" in sys.modules,
+    "star": star["dissipative_protocol"] is qbattery.lindblad.dissipative_protocol,
+}))
+"""
+
+
+def test_closed_system_run_loads_no_scipy(tmp_path):
+    # only the damped extension and the oracles need scipy, and importing
+    # it is most of a fresh process's start-up time
+    import qbattery
+
+    src = str(Path(qbattery.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _CLOSED_SYSTEM_RUN, str(tmp_path / "x.csv")],
+                          env=env, cwd=tmp_path, capture_output=True, text=True, check=True)
+    report = json.loads(proc.stdout)
+    assert report == {
+        "code": 0, "scipy_after_run": [], "listed": True, "scipy_after_dir": [],
+        "served": True, "sparse_loaded": True, "star": True,
+    }
 
 
 def test_histograms_command(tmp_path):

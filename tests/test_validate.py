@@ -72,6 +72,46 @@ def test_only_validate_imports_scipy_linalg():
     assert offenders == []
 
 
+def _import_time_modules(path):
+    """(line, module) for each module that importing ``path`` imports:
+    statements outside function bodies and ``if TYPE_CHECKING:`` blocks,
+    relative names resolved against ``qbattery``."""
+    pending = list(ast.parse(path.read_text()).body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+            pending += node.orelse
+            continue
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.name
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["qbattery" if node.level else None, node.module]))
+            yield node.lineno, base
+            for alias in node.names:
+                yield node.lineno, f"{base}.{alias.name}"
+        pending += ast.iter_child_nodes(node)
+
+
+def test_only_lindblad_and_validate_load_scipy():
+    # the closed-system API and every closed-system CLI command need only
+    # numpy, and importing scipy is most of a fresh process's start-up time
+    def within(name, package):
+        return name == package or name.startswith(package + ".")
+
+    offenders = []
+    for path in sorted(Path(qbattery.__file__).parent.glob("*.py")):
+        for line, name in _import_time_modules(path):
+            if within(name, "scipy") and path.stem not in ("lindblad", "validate"):
+                offenders.append(f"{path.name}:{line} {name}")
+            if path.stem in ("__init__", "cli") and (within(name, "qbattery.lindblad")
+                                                     or within(name, "qbattery.validate")):
+                offenders.append(f"{path.name}:{line} {name}")
+    assert offenders == []
+
+
 def test_no_second_diagonalization_in_the_round_and_energetics_modules():
     # a state is diagonalized once, when it is built, and keeps its
     # spectrum; a call in these modules would diagonalize it again
