@@ -46,16 +46,6 @@ if TYPE_CHECKING:
 
 SCHEMA_VERSION = 1
 
-EXPERIMENTS = (
-    "sweep_theta_q",
-    "interval_sweep",
-    "power_on",
-    "power_off",
-    "histograms",
-    "lindblad",
-    "validate",
-)
-
 # Figure-matching defaults; beta varies per experiment below.
 _BASE_CONFIG = {
     "schema": SCHEMA_VERSION,
@@ -108,6 +98,7 @@ _EXPERIMENT_OVERRIDES = {
     "lindblad": {"params": {"beta": 0.1}, "schedule": {"n_rounds": 20}},
     "validate": {},
 }
+EXPERIMENTS = tuple(_EXPERIMENT_OVERRIDES)
 
 
 class ConfigError(ValueError):
@@ -145,7 +136,44 @@ def _apply_set(config: dict, assignment: str) -> None:
         node = node[part]
     if parts[-1] not in node:
         raise ConfigError(f"unknown config key {key!r}")
+    if isinstance(value, dict) and isinstance(node[parts[-1]], dict):
+        value = _merge(node[parts[-1]], value, key)
     node[parts[-1]] = value
+
+
+def _fits(value, default) -> bool:
+    """Whether ``value`` may stand where ``_BASE_CONFIG`` holds ``default``:
+    a number for a float, a list of such values for a list, else a value
+    of the default's own type (so no bool for an integer)."""
+    if isinstance(default, list):
+        return isinstance(value, list) and all(_fits(v, default[0]) for v in value)
+    if isinstance(default, float):
+        return type(value) in (int, float)
+    return type(value) is type(default)
+
+
+_KINDS = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
+
+
+def _check_kinds(config: dict, base: dict, path: str = "") -> None:
+    """Every value of ``config`` is of the kind of its ``base`` default."""
+    for key, default in base.items():
+        value = config[key]
+        if type(value) is type(default) and type(default) not in (dict, list):
+            continue  # most values: a number, string or flag as in the default
+        where = f"{path}.{key}" if path else key
+        if isinstance(default, dict):
+            if not isinstance(value, dict):
+                raise ConfigError(f"{where!r} must be a table")
+            _check_kinds(value, default, where)
+            continue
+        if default is None:  # optional: None, else a path for output_path and a number elsewhere
+            if value is None:
+                continue
+            default = "" if where == "output_path" else 0.0
+        if not (_fits(value, default) or (where == "params.beta" and value in ("inf", "Infinity"))):
+            kind = f"a list, each {_KINDS[type(default[0])]}" if isinstance(default, list) else _KINDS[type(default)]
+            raise ConfigError(f"{where} must be {kind}, got {value!r}")
 
 
 def load_config(experiment: str, config_path: str | None, sets: list[str]) -> dict:
@@ -156,28 +184,28 @@ def load_config(experiment: str, config_path: str | None, sets: list[str]) -> di
                 user = json.load(fh)
         except (OSError, json.JSONDecodeError) as err:
             raise ConfigError(f"cannot read config {config_path}: {err}") from err
+        if not isinstance(user, dict):
+            raise ConfigError(f"config {config_path} must hold a table")
         if user.get("schema", SCHEMA_VERSION) != SCHEMA_VERSION:
             raise ConfigError(f"unsupported config schema {user.get('schema')!r}")
         config = _merge(config, user)
     for assignment in sets:
         _apply_set(config, assignment)
+    _check_kinds(config, _BASE_CONFIG)
     return config
 
 
 def _build_params(config: dict) -> SystemParams:
     p = config["params"]
-    beta = p["beta"]
-    if isinstance(beta, str):
-        if beta not in ("inf", "Infinity"):
-            raise ConfigError(f"beta must be a number or 'inf', got {beta!r}")
-        beta = math.inf
+    # the load check lets through only "inf" and "Infinity" as strings
+    beta = math.inf if isinstance(p["beta"], str) else float(p["beta"])
     try:
         return SystemParams(
-            n_levels=int(p["n_levels"]),
+            n_levels=p["n_levels"],
             g=float(p["g"]),
             delta=float(p["delta"]),
             omega_c=float(p["omega_c"]),
-            beta=float(beta),
+            beta=beta,
         )
     except ValueError as err:
         raise ConfigError(str(err)) from err
@@ -229,14 +257,18 @@ def write_csv(path: Path, header: list[str], rows) -> None:
     _write_lines(path, header, (",".join(_fmt(v) for v in row) + "\n" for row in rows))
 
 
+def _check_counts(sweep: dict, *keys: str) -> None:
+    for key in keys:
+        if sweep[key] < 1:
+            raise ConfigError(f"sweep.{key} must be >= 1, got {sweep[key]}")
+
+
 def cmd_sweep_theta_q(config: dict, out: Path) -> None:
     params = _build_params(config)
     sweep = config["sweep"]
-    for key in ("theta_points", "q_points"):
-        if int(sweep[key]) < 1:
-            raise ConfigError(f"sweep.{key} must be >= 1, got {sweep[key]}")
-    thetas = np.linspace(0.0, math.pi, int(sweep["theta_points"]))
-    qs = np.linspace(0.0, 1.0, int(sweep["q_points"]))
+    _check_counts(sweep, "theta_points", "q_points")
+    thetas = np.linspace(0.0, math.pi, sweep["theta_points"])
+    qs = np.linspace(0.0, 1.0, sweep["q_points"])
     c_values = np.array([float(c) for c in sweep["c_values"]])
     if c_values.size == 0:
         raise ConfigError("sweep.c_values must hold at least one coherence")
@@ -267,14 +299,15 @@ def cmd_interval_sweep(config: dict, out: Path) -> None:
     tau_max = float(sweep["tau_max"])
     if not (math.isfinite(tau_max) and tau_max >= 0.0):
         raise ConfigError(f"sweep.tau_max must be finite and >= 0, got {tau_max}")
-    taus = np.linspace(0.0, tau_max, int(sweep["tau_points"]) + 1)[1:]
-    m_values = [int(m) for m in sweep["m_values"]]
-    if any(m < 1 for m in m_values):
-        raise ConfigError(f"sweep.m_values must be >= 1, got {sweep['m_values']}")
+    _check_counts(sweep, "tau_points")
+    taus = np.linspace(0.0, tau_max, sweep["tau_points"] + 1)[1:]
+    m_values = sweep["m_values"]
+    if not m_values or min(m_values) < 1:
+        raise ConfigError(f"sweep.m_values must hold at least one round, each >= 1, got {m_values}")
     # the state entering round m comes from m - 1 rounds of one run under
     # the scheme's standard policy, and the marker is that run's round-m rule
     policy = "numeric" if scheme == "power_on" else "power_off_compromise"
-    (initial, params, *_), kwargs, choose_tau = _protocol_call(config, scheme, policy, max(m_values, default=1))
+    (initial, params, *_), kwargs, choose_tau = _protocol_call(config, scheme, policy, max(m_values))
     prepared, reason = [(initial, 1.0)], None
     rows = []
     for m in m_values:
@@ -353,7 +386,7 @@ def _write_histograms(trajectory, at_rounds, path: Path) -> None:
         if m not in states:
             continue
         for level, pop in enumerate(states[m].populations):
-            rows.append((int(m), level, float(pop)))
+            rows.append((m, level, float(pop)))
     write_csv(path, ["m", "level", "population"], rows)
 
 
@@ -385,7 +418,7 @@ def _protocol_call(config: dict, scheme: str, policy: str, n_rounds: int, polici
         params = _build_params(config)
         charger = _build_charger(config) if scheme == "general" else None
         inputs = dict(fixed_tau=schedule["fixed_tau"], x=float(schedule["x"]), objective=schedule["objective"],
-                      tau_max=schedule["tau_max"], grid_points=int(schedule["grid_points"]))
+                      tau_max=schedule["tau_max"], grid_points=schedule["grid_points"])
         _scheme_charger(scheme, charger)
         choose_tau = _interval_chooser(policy, scheme, params, n_rounds, policies, tau_schedule=tau_schedule,
                                        **inputs)
@@ -395,31 +428,38 @@ def _protocol_call(config: dict, scheme: str, policy: str, n_rounds: int, polici
 
 
 def cmd_protocol(config: dict, out: Path, experiment: str) -> None:
+    """One closed-system run of ``schedule.scheme``. ``histograms`` writes
+    the histograms alone, to ``out``; ``power_on`` and ``power_off`` run
+    only their own scheme and write the trajectory, its histograms and the
+    metadata sidecar."""
     schedule = config["schedule"]
-    args, kwargs, _ = _protocol_call(config, experiment, schedule["policy"], int(schedule["n_rounds"]))
+    scheme = schedule["scheme"]
+    if experiment != "histograms" and scheme != experiment:
+        raise ConfigError(f"{experiment} runs schedule.scheme={experiment!r}, got {scheme!r}")
+    args, kwargs, _ = _protocol_call(config, scheme, schedule["policy"], schedule["n_rounds"])
     attempts = None
     if schedule["sampling"]:
-        trajectory, attempts = sample_protocol(*args, seed=int(config["seed"]), **kwargs)
+        trajectory, attempts = sample_protocol(*args, seed=config["seed"], **kwargs)
     else:
         trajectory = run_protocol(*args, **kwargs)
+    if experiment == "histograms":
+        _write_histograms(trajectory, schedule["histogram_at"], out)
+        return
     write_csv(out, PROTOCOL_HEADER, _trajectory_rows(trajectory, trajectory.params))
     _write_histograms(trajectory, schedule["histogram_at"], out.with_name(out.stem + "_hist.csv"))
     _write_metadata(trajectory, config, experiment, out.with_suffix(".json"), attempts)
-
-
-def cmd_histograms(config: dict, out: Path) -> None:
-    schedule = config["schedule"]
-    args, kwargs, _ = _protocol_call(config, schedule["scheme"], schedule["policy"], int(schedule["n_rounds"]))
-    _write_histograms(run_protocol(*args, **kwargs), schedule["histogram_at"], out)
 
 
 def cmd_lindblad(config: dict, out: Path) -> None:
     from .lindblad import dissipative_protocol
 
     schedule = config["schedule"]
-    d = config["dissipation"]
     diss = _build_dissipation(config, _build_params(config))
-    scheme, policy, n_rounds = schedule["scheme"], schedule["policy"], int(schedule["n_rounds"])
+    tolerances = {key: float(config["dissipation"][key]) for key in ("rtol", "atol")}
+    for key, value in tolerances.items():
+        if not (math.isfinite(value) and value > 0.0):
+            raise ConfigError(f"dissipation.{key} must be finite and > 0, got {value}")
+    scheme, policy, n_rounds = schedule["scheme"], schedule["policy"], schedule["n_rounds"]
     tau_schedule = None
     if scheme == "power_off" or policy == "power_off_compromise":
         # mirror the closed-system compromise schedule so the damped run
@@ -432,7 +472,7 @@ def cmd_lindblad(config: dict, out: Path) -> None:
                                                          tau_schedule)
     trajectory = dissipative_protocol(initial, params, diss, *args, charger=kwargs["charger"],
                                       fixed_tau=kwargs["fixed_tau"], tau_schedule=tau_schedule,
-                                      rtol=float(d["rtol"]), atol=float(d["atol"]))
+                                      **tolerances)
     write_csv(out, PROTOCOL_HEADER, _trajectory_rows(trajectory, params))
     _write_metadata(trajectory, config, "lindblad", out.with_suffix(".json"))
 
@@ -445,7 +485,7 @@ def run_all_checks(fast: bool = False) -> list[CheckResult]:
 
 
 def cmd_validate(config: dict, out: Path | None) -> int:
-    results = run_all_checks(fast=bool(config["validate_fast"]))
+    results = run_all_checks(fast=config["validate_fast"])
     lines = [r.line() for r in results]
     report = "\n".join(lines) + "\n"
     print(report, end="")
@@ -489,10 +529,8 @@ def main(argv=None) -> int:
             cmd_sweep_theta_q(config, out_path)
         elif args.experiment == "interval_sweep":
             cmd_interval_sweep(config, out_path)
-        elif args.experiment in ("power_on", "power_off"):
+        elif args.experiment in ("power_on", "power_off", "histograms"):
             cmd_protocol(config, out_path, args.experiment)
-        elif args.experiment == "histograms":
-            cmd_histograms(config, out_path)
         elif args.experiment == "lindblad":
             cmd_lindblad(config, out_path)
         elif args.experiment == "validate":

@@ -265,7 +265,6 @@ def integrate(
     diss: DissipationParams,
     rtol: float = 1e-7,
     atol: float = 1e-9,
-    check: bool = True,
 ) -> np.ndarray:
     """Propagate the joint state over one interval with the adaptive
     embedded Runge-Kutta scheme DOP853.
@@ -275,13 +274,13 @@ def integrate(
     and integrates those, with ``rtol`` and ``atol`` scaled so that the
     error norm equals that of a solve over every element.
 
-    The Hermiticity and trace drifts are measured on the solved vector,
-    which is then re-symmetrized and scattered once into the result;
-    drifts in Hermiticity, trace, or positivity beyond their tolerances
-    raise a warning rather than an error, since they signal tolerance
-    starvation, not a wrong model. Positivity is checked per excitation
-    block when gap 0 is the only occupied gap, else by a Cholesky factor.
-    ``tau`` must be finite and >= 0.
+    Every call measures the Hermiticity and trace drifts on the solved
+    vector, which is then re-symmetrized and scattered once into the
+    result; drifts in Hermiticity, trace, or positivity beyond their
+    tolerances raise a warning rather than an error, since they signal
+    tolerance starvation, not a wrong model. Positivity is checked per
+    excitation block when gap 0 is the only occupied gap, else by a
+    Cholesky factor. ``tau`` must be finite and >= 0.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     expected = 2 * params.dim
@@ -307,20 +306,18 @@ def integrate(
         raise RuntimeError(f"integration failed: {sol.message}")
     y = sol.y[:, -1]
     transposed = y[band.partner].conj()
-    if check:
-        herm = np.abs(y - transposed).max()
-        if herm > HERMITICITY_ATOL:
-            warnings.warn(f"Hermiticity drift {herm:.2e} exceeds {HERMITICITY_ATOL}")
-        tr = abs(y[band.diag].real.sum() - 1.0)
-        if tr > TRACE_ATOL:
-            warnings.warn(f"trace drift {tr:.2e} exceeds {TRACE_ATOL}")
+    herm = np.abs(y - transposed).max()
+    if herm > HERMITICITY_ATOL:
+        warnings.warn(f"Hermiticity drift {herm:.2e} exceeds {HERMITICITY_ATOL}")
+    tr = abs(y[band.diag].real.sum() - 1.0)
+    if tr > TRACE_ATOL:
+        warnings.warn(f"trace drift {tr:.2e} exceeds {TRACE_ATOL}")
     rho = np.zeros(flat0.size, dtype=complex)
     rho[band.index] = 0.5 * (y + transposed)
     rho = rho.reshape(expected, expected)
-    if check:
-        lo = _positivity_violation(rho, params.dim, np.array_equal(occupied, [0]))
-        if lo is not None:
-            warnings.warn(f"positivity violation {lo:.2e} beyond {POSITIVITY_ATOL}")
+    lo = _positivity_violation(rho, params.dim, np.array_equal(occupied, [0]))
+    if lo is not None:
+        warnings.warn(f"positivity violation {lo:.2e} beyond {POSITIVITY_ATOL}")
     return rho
 
 
@@ -388,7 +385,7 @@ def dissipative_protocol(
         battery, prob = _project_qubit(evolved, phi, params.dim)
         if prob < ZERO_PROBABILITY_ATOL:
             raise ZeroProbabilityError(f"outcome probability {prob:.3e}")
-        post = BatteryState.from_matrix(battery / prob, herm_atol=1e-8, clip=POSITIVITY_ATOL)
+        post = BatteryState.from_matrix(battery / prob, clip=POSITIVITY_ATOL)
         return RoundRecord(post, prob, tau, scheme)
 
     return _drive(initial, params, scheme, n_rounds, choose_tau, take_round, ZeroProbabilityError)

@@ -50,7 +50,6 @@ class Trajectory:
     scheme: str
     params: SystemParams
     initial_state: BatteryState
-    truncated: bool = False
     truncation_reason: str | None = None
 
     def __post_init__(self):
@@ -61,6 +60,10 @@ class Trajectory:
             prod *= r.probability
         if abs(prod - self.cumulative_probability) > 1e-12 * max(1.0, prod):
             raise ValueError("cumulative probability is not the product of the rounds")
+
+    @property
+    def truncated(self) -> bool:
+        return self.truncation_reason is not None
 
     @property
     def n_rounds(self) -> int:
@@ -347,7 +350,6 @@ def _drive(initial: BatteryState, params: SystemParams, scheme: str, n_rounds: i
         scheme=scheme,
         params=params,
         initial_state=initial,
-        truncated=reason is not None,
         truncation_reason=reason,
     )
 

@@ -14,7 +14,7 @@ from dataclasses import KW_ONLY, InitVar, dataclass, field
 import numpy as np
 
 # Tolerances shared across the package.
-SUM_ATOL = 1e-12          # probability vectors must sum to 1 this tightly
+SUM_ATOL = 1e-12          # stored populations sum to 1 this tightly; inputs within 1e-9 are renormalized
 NEGATIVE_DUST = -1e-14    # rounding dust below zero that gets clamped
 PSD_ATOL = 1e-10          # smallest-eigenvalue tolerance for general states
 HERM_ATOL = 1e-10         # Hermiticity tolerance when ingesting matrices
@@ -158,13 +158,9 @@ class BatteryState:
         return cls(np.asarray(populations, dtype=float))
 
     @classmethod
-    def from_matrix(
-        cls,
-        rho: np.ndarray,
-        herm_atol: float = HERM_ATOL,
-        clip: float = 0.0,
-    ) -> "BatteryState":
-        """Build a state from a density matrix, snapping to diagonal form
+    def from_matrix(cls, rho: np.ndarray, clip: float = 0.0) -> "BatteryState":
+        """Build a state from a density matrix, Hermitian within
+        ``HERM_ATOL`` and symmetrized before use, snapping to diagonal form
         when all off-diagonal elements are below ``DIAG_ATOL``.
 
         ``clip`` > 0 tolerates and removes spectral dust down to -clip
@@ -176,8 +172,8 @@ class BatteryState:
         """
         rho = np.asarray(rho, dtype=complex)
         drift = np.abs(rho - rho.conj().T).max()
-        if drift > herm_atol:
-            raise ValueError(f"matrix is not Hermitian within {herm_atol} (drift {drift:.3e})")
+        if drift > HERM_ATOL:
+            raise ValueError(f"matrix is not Hermitian within {HERM_ATOL} (drift {drift:.3e})")
         rho = 0.5 * (rho + rho.conj().T)
         pops = np.real(np.diag(rho))
         upper = np.triu(rho, k=1)

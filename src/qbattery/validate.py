@@ -334,7 +334,7 @@ def lindblad_sector_oracle_deviation(
     at the same tolerances, from the charger (x) battery product state."""
     rho0 = np.kron(charger.density_matrix(), state.matrix)
     dense = _dense_damped_solve(rho0, params, diss, tau, rtol, atol)
-    sector = integrate(rho0, tau, params, diss, rtol=rtol, atol=atol, check=False)
+    sector = integrate(rho0, tau, params, diss, rtol=rtol, atol=atol)
     return float(np.abs(sector - dense).max())
 
 

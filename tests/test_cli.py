@@ -25,9 +25,72 @@ def test_unknown_config_key_is_a_config_error(tmp_path):
     assert main(["power_on", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1
 
 
-def test_bad_set_assignment_is_a_config_error(tmp_path):
+# (command, assignment, message) for values of the wrong kind, now all
+# rejected at load; most used to run on a converted or partly dropped
+# value or exit 3, histogram_at=5 after writing the protocol CSV
+_WRONG_KINDS = [
+    ("power_on", "params.n_levels=10.7", "params.n_levels must be an integer, got 10.7"),
+    ("power_on", "schedule.n_rounds=2.5", "schedule.n_rounds must be an integer, got 2.5"),
+    ("power_on", "seed=1.9", "seed must be an integer, got 1.9"),
+    ("power_on", "schedule.histogram_at=[0.5,1]", "schedule.histogram_at must be a list, each an integer"),
+    ("power_on", "schedule.histogram_at=5", "schedule.histogram_at must be a list, each an integer, got 5"),
+    ("power_on", "params.n_levels=true", "params.n_levels must be an integer, got True"),
+    ("sweep_theta_q", "sweep.c_values=5", "sweep.c_values must be a list, each a number, got 5"),
+    ("interval_sweep", "sweep.tau_points=abc", "sweep.tau_points must be an integer, got 'abc'"),
+    ("interval_sweep", 'sweep.m_values=["x"]', "sweep.m_values must be a list, each an integer, got ['x']"),
+    ("histograms", "schedule.n_rounds=abc", "schedule.n_rounds must be an integer, got 'abc'"),
+    ("lindblad", "dissipation.rtol=abc", "dissipation.rtol must be a number, got 'abc'"),
+    ("power_on", "params=5", "'params' must be a table"),
+    ("power_on", "params.beta=hot", "params.beta must be a number, got 'hot'"),
+    ("power_on", "schedule.fixed_tau=true", "schedule.fixed_tau must be a number, got True"),
+    ("power_on", "output_path=5", "output_path must be a string, got 5"),
+]
+
+
+def test_bad_set_assignment_is_a_config_error(tmp_path, capsys):
     assert main(["power_on", "--set", "nonsense", "--out", str(tmp_path / "x.csv")]) == 1
     assert main(["power_on", "--set", "params.bogus=3", "--out", str(tmp_path / "x.csv")]) == 1
+    capsys.readouterr()
+    for command, assignment, message in _WRONG_KINDS:
+        argv = [command, "--out", str(tmp_path / "x.csv"), "--set", "params.n_levels=8",
+                "--set", "schedule.sampling=true", "--set", assignment]
+        assert main(argv) == 1, assignment
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
+def test_config_values_of_the_right_kind_load():
+    from qbattery.cli import load_config
+
+    config = load_config("power_on", None, ["params.g=1", "params.beta=inf", 'params={"delta": 0}',
+                                            "schedule.fixed_tau=8", 'output_path="x.csv"'])
+    assert config["params"] == {"n_levels": 100, "g": 1, "delta": 0, "omega_c": 1.0, "beta": "inf"}
+    assert config["schedule"]["fixed_tau"] == 8 and config["output_path"] == "x.csv"
+
+
+@pytest.mark.parametrize("content, message", [
+    ({"params": {"n_levels": 10.7}}, "params.n_levels must be an integer, got 10.7"),
+    ({"sweep": []}, "'sweep' must be a table"),
+    ([1], "must hold a table"),
+])
+def test_config_file_values_are_kind_checked(tmp_path, capsys, content, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(content))
+    assert main(["power_on", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize("command, scheme", [
+    ("power_on", "power_off"), ("power_on", "general"), ("power_off", "power_on"), ("power_off", "general"),
+])
+def test_protocol_command_scheme_mismatch_is_a_config_error(tmp_path, capsys, command, scheme):
+    # the command name used to win: power_on ran power-on and recorded the other scheme
+    argv = [command, "--out", str(tmp_path / "x.csv"), "--set", "params.n_levels=8",
+            "--set", f"schedule.scheme={scheme}"]
+    assert main(argv) == 1
+    assert f"config error: {command} runs schedule.scheme={command!r}, got {scheme!r}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_invalid_physics_is_a_config_error(tmp_path):
@@ -65,6 +128,12 @@ def test_non_finite_damping_fails_the_run(tmp_path, capsys, assignment):
     ("dissipation.gamma_c=-0.5", "damping rates must be >= 0"),
     ("dissipation.nbar_th=-1", "bath occupations must be >= 0"),
     ("dissipation.nbar_th_c=-0.1", "bath occupations must be >= 0"),
+    # these five used to exit 0 at scipy's clamped rtol, run for minutes or exit 3
+    ("dissipation.rtol=-1", "dissipation.rtol must be finite and > 0, got -1.0"),
+    ("dissipation.rtol=0", "dissipation.rtol must be finite and > 0, got 0.0"),
+    ("dissipation.rtol=NaN", "dissipation.rtol must be finite and > 0, got nan"),
+    ("dissipation.atol=0", "dissipation.atol must be finite and > 0, got 0.0"),
+    ("dissipation.atol=-1", "dissipation.atol must be finite and > 0, got -1.0"),
 ])
 def test_invalid_damping_is_a_config_error(tmp_path, capsys, assignment, message):
     # the same kind of mistake as in params: exit 1, not a runtime error
@@ -92,12 +161,16 @@ def test_invalid_sweep_interval_is_a_config_error(tmp_path, capsys, tau):
     ("sweep.q_points=0", "sweep.q_points must be >= 1"),
     ("sweep.c_values=[2.0]", "sweep.c_values: c must lie in [0, 1], got 2.0"),
     ("sweep.c_values=[]", "sweep.c_values must hold at least one coherence"),
+    ("sweep.tau_points=0", "sweep.tau_points must be >= 1"),
+    ("sweep.m_values=[]", "sweep.m_values must hold at least one round, each >= 1"),
+    ("sweep.m_values=[0,1]", "sweep.m_values must hold at least one round, each >= 1"),
 ])
 def test_invalid_sweep_grid_is_a_config_error(tmp_path, capsys, assignment, message):
     # an empty axis used to exit 0 with a header-only CSV, and an invalid
-    # coherence to exit 3
+    # coherence to exit 3; interval_sweep reads the tau and m axes
     out = tmp_path / "x.csv"
-    argv = ["sweep_theta_q", "--out", str(out), "--set", "sweep.theta_points=3",
+    command = "interval_sweep" if assignment.startswith(("sweep.tau_points", "sweep.m_values")) else "sweep_theta_q"
+    argv = [command, "--out", str(out), "--set", "sweep.theta_points=3",
             "--set", "sweep.q_points=3", "--set", assignment]
     assert main(argv) == 1
     assert f"config error: {message}" in capsys.readouterr().err
@@ -468,6 +541,14 @@ def test_histograms_command(tmp_path):
     header, rows = read_csv(out)
     assert header == ["m", "level", "population"]
     assert len(rows) == 2 * 31
+
+
+def test_histograms_are_those_of_the_protocol_run(tmp_path):
+    sets = ["--set", "params.n_levels=20", "--set", "schedule.n_rounds=3", "--set", "schedule.histogram_at=[0,3]",
+            "--set", "schedule.sampling=true", "--set", "seed=4"]
+    assert main(["histograms", "--out", str(tmp_path / "h.csv"), *sets]) == 0
+    assert main(["power_on", "--out", str(tmp_path / "p.csv"), *sets]) == 0
+    assert (tmp_path / "h.csv").read_bytes() == (tmp_path / "p_hist.csv").read_bytes()
 
 
 def test_lindblad_command_small(tmp_path):

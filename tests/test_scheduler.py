@@ -193,6 +193,22 @@ def test_run_protocol_power_off_cumulative_objective_truncates():
     assert trajectory.truncation_reason is not None
 
 
+def test_truncated_follows_the_truncation_reason():
+    import dataclasses
+
+    from qbattery.scheduler import Trajectory
+
+    run = run_protocol(thermal_state(WARM), WARM, "power_on", 2, "analytic")
+    assert not run.truncated and run.truncation_reason is None
+    cut = dataclasses.replace(run, truncation_reason="round 3: stalled")
+    assert cut.truncated
+    assert not dataclasses.replace(cut, truncation_reason=None).truncated
+    # the flag is no longer a field that could disagree with the reason
+    with pytest.raises(TypeError):
+        Trajectory(run.rounds, run.cumulative_probability, run.scheme, run.params, run.initial_state,
+                   truncated=True)
+
+
 def test_run_protocol_general_scheme_needs_charger():
     with pytest.raises(ValueError):
         run_protocol(thermal_state(WARM), WARM, "general", 3, "fixed", fixed_tau=8.0)
