@@ -45,6 +45,7 @@ from .states import (
     POWER_ON,
     BatteryState,
     ChargerSpec,
+    SettingError,
     SystemParams,
     diagonal_fidelity,
     fano_ratio,
@@ -91,6 +92,7 @@ __all__ = [
     "POWER_OFF",
     "POWER_ON",
     "RoundRecord",
+    "SettingError",
     "SystemParams",
     "ThermoSnapshot",
     "Trajectory",

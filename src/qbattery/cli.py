@@ -26,12 +26,13 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .propagator import ZeroProbabilityError
-from .rounds import _mean_ratios, _scheme_charger, power_off_round, power_on_round
-from .scheduler import (DAMPED_POLICIES, POLICIES, NoChargingError, _interval_chooser, round_probability,
-                        run_protocol, sample_protocol, tau_opt_analytic)
+from .rounds import _mean_ratios, power_off_round, power_on_round
+from .scheduler import (NoChargingError, _interval_chooser, round_probability, run_protocol, sample_protocol,
+                        tau_opt_analytic)
 from .states import (
     BatteryState,
     ChargerSpec,
+    SettingError,
     SystemParams,
     fano_ratio,
     mean_occupation,
@@ -101,12 +102,14 @@ _EXPERIMENT_OVERRIDES = {
 EXPERIMENTS = tuple(_EXPERIMENT_OVERRIDES)
 
 
-class ConfigError(ValueError):
-    pass
+class ConfigError(SettingError):
+    """A mistake in the config file or the ``--set`` overrides."""
 
 
 def _merge(base: dict, override: dict, path: str = "") -> dict:
-    out = copy.deepcopy(base)
+    """``base`` with ``override`` merged in table by table, each value
+    copied once, so the result shares no list or table with either."""
+    merged = {}
     for key, value in override.items():
         where = f"{path}.{key}" if path else key
         if key not in base:
@@ -114,10 +117,10 @@ def _merge(base: dict, override: dict, path: str = "") -> dict:
         if isinstance(base[key], dict):
             if not isinstance(value, dict):
                 raise ConfigError(f"{where!r} must be a table")
-            out[key] = _merge(base[key], value, where)
+            merged[key] = _merge(base[key], value, where)
         else:
-            out[key] = value
-    return out
+            merged[key] = copy.deepcopy(value)
+    return {key: merged[key] if key in merged else copy.deepcopy(value) for key, value in base.items()}
 
 
 def _apply_set(config: dict, assignment: str) -> None:
@@ -199,16 +202,8 @@ def _build_params(config: dict) -> SystemParams:
     p = config["params"]
     # the load check lets through only "inf" and "Infinity" as strings
     beta = math.inf if isinstance(p["beta"], str) else float(p["beta"])
-    try:
-        return SystemParams(
-            n_levels=p["n_levels"],
-            g=float(p["g"]),
-            delta=float(p["delta"]),
-            omega_c=float(p["omega_c"]),
-            beta=beta,
-        )
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
+    return SystemParams(n_levels=p["n_levels"], g=float(p["g"]), delta=float(p["delta"]),
+                        omega_c=float(p["omega_c"]), beta=beta)
 
 
 def _build_dissipation(config: dict, params: SystemParams) -> DissipationParams:
@@ -216,23 +211,24 @@ def _build_dissipation(config: dict, params: SystemParams) -> DissipationParams:
     from .lindblad import DissipationParams
 
     d = config["dissipation"]
-    try:
-        thermal = DissipationParams.thermal(
-            params, gamma_b=float(d["gamma_b"]),
-            gamma_c=None if d["gamma_c"] is None else float(d["gamma_c"]),
-        )
-        overrides = {key: float(d[key]) for key in ("nbar_th", "nbar_th_c") if d[key] is not None}
-        return dataclasses.replace(thermal, **overrides)
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
+    thermal = DissipationParams.thermal(params, gamma_b=float(d["gamma_b"]),
+                                        gamma_c=None if d["gamma_c"] is None else float(d["gamma_c"]))
+    overrides = {key: float(d[key]) for key in ("nbar_th", "nbar_th_c") if d[key] is not None}
+    return dataclasses.replace(thermal, **overrides)
 
 
-def _build_charger(config: dict) -> ChargerSpec:
+def _build_charger(config: dict) -> ChargerSpec | None:
+    """The configured charger of a general-scheme run, else None."""
+    if config["schedule"]["scheme"] != "general":
+        return None
     c = config["charger"]
-    try:
-        return ChargerSpec(q=float(c["q"]), theta=float(c["theta"]), c=float(c["c"]))
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
+    return ChargerSpec(q=float(c["q"]), theta=float(c["theta"]), c=float(c["c"]))
+
+
+def _policy_inputs(schedule: dict) -> dict:
+    """The interval-policy keywords of ``run_protocol`` that ``schedule`` sets."""
+    return dict(fixed_tau=schedule["fixed_tau"], x=float(schedule["x"]), objective=schedule["objective"],
+                tau_max=schedule["tau_max"], grid_points=schedule["grid_points"])
 
 
 def _fmt(value) -> str:
@@ -275,7 +271,7 @@ def cmd_sweep_theta_q(config: dict, out: Path) -> None:
     for c in c_values:
         try:
             ChargerSpec(q=0.0, theta=0.0, c=c)
-        except ValueError as err:
+        except SettingError as err:
             raise ConfigError(f"sweep.c_values: {err}") from err
     tau = float(sweep["tau"])
     if not (math.isfinite(tau) and tau >= 0.0):
@@ -307,13 +303,19 @@ def cmd_interval_sweep(config: dict, out: Path) -> None:
     # the state entering round m comes from m - 1 rounds of one run under
     # the scheme's standard policy, and the marker is that run's round-m rule
     policy = "numeric" if scheme == "power_on" else "power_off_compromise"
-    (initial, params, *_), kwargs, choose_tau = _protocol_call(config, scheme, policy, max(m_values))
+    params, inputs = _build_params(config), _policy_inputs(config["schedule"])
+    choose_tau = _interval_chooser(policy, scheme, params, max(m_values), **inputs)
+    initial = thermal_state(params)
     prepared, reason = [(initial, 1.0)], None
     rows = []
     for m in m_values:
         if m > 1 and len(prepared) == 1:
             # one run prepares every m, made where the first m > 1 needs it
-            trajectory = run_protocol(initial, params, scheme, max(m_values) - 1, policy, **kwargs)
+            try:
+                trajectory = run_protocol(initial, params, scheme, max(m_values) - 1, policy, **inputs)
+            except NoChargingError as err:
+                # round 1 stalls; a stall in a later round leaves fewer states below
+                raise ConfigError(f"cannot prepare the round-{m} state: {err}") from err
             for rec in trajectory.rounds:
                 prepared.append((rec.post_state, prepared[-1][1] * rec.probability))
             reason = trajectory.truncation_reason
@@ -349,8 +351,7 @@ def _trajectory_rows(trajectory, params: SystemParams):
     rows = [(
         0, None, None, 1.0,
         first.energy, first.ergotropy, first.ratio, None,
-        mean_occupation(initial), occupation_variance(initial),
-        _safe_fano(initial),
+        *_moments(initial),
     )]
     cumulative = 1.0
     for m, rec in enumerate(trajectory.rounds, start=1):
@@ -358,17 +359,15 @@ def _trajectory_rows(trajectory, params: SystemParams):
         rows.append((
             m, rec.tau, rec.probability, cumulative,
             rec.thermo.energy, rec.thermo.ergotropy, rec.thermo.ratio, rec.thermo.power,
-            mean_occupation(rec.post_state), occupation_variance(rec.post_state),
-            _safe_fano(rec.post_state),
+            *_moments(rec.post_state),
         ))
     return rows
 
 
-def _safe_fano(state: BatteryState):
-    try:
-        return fano_ratio(state)
-    except ValueError:
-        return None
+def _moments(state: BatteryState) -> tuple:
+    """Mean, variance and Fano ratio, None for a state of zero mean."""
+    mean = mean_occupation(state)
+    return mean, occupation_variance(state), None if mean <= 0.0 else fano_ratio(state)
 
 
 PROTOCOL_HEADER = [
@@ -408,23 +407,14 @@ def _write_metadata(trajectory, config: dict, experiment: str, path: Path, attem
         fh.write("\n")
 
 
-def _protocol_call(config: dict, scheme: str, policy: str, n_rounds: int, policies=POLICIES,
-                   tau_schedule=None) -> tuple[tuple, dict, object]:
-    """Arguments of run_protocol for one config, and the interval chooser
-    they resolve to; a mistake in the scheme, its charger or the policy
-    (one of ``policies``) is a config error, raised before any round runs."""
-    schedule = config["schedule"]
-    try:
-        params = _build_params(config)
-        charger = _build_charger(config) if scheme == "general" else None
-        inputs = dict(fixed_tau=schedule["fixed_tau"], x=float(schedule["x"]), objective=schedule["objective"],
-                      tau_max=schedule["tau_max"], grid_points=schedule["grid_points"])
-        _scheme_charger(scheme, charger)
-        choose_tau = _interval_chooser(policy, scheme, params, n_rounds, policies, tau_schedule=tau_schedule,
-                                       **inputs)
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
-    return (thermal_state(params), params, scheme, n_rounds, policy), dict(charger=charger, **inputs), choose_tau
+def _check_snapshot_rounds(schedule: dict) -> None:
+    """Every ``schedule.histogram_at`` round lies within the run; a run of
+    fewer than one round is the library's mistake to report."""
+    n_rounds = schedule["n_rounds"]
+    outside = [m for m in schedule["histogram_at"] if not 0 <= m <= n_rounds]
+    if outside and n_rounds >= 1:
+        raise ConfigError(f"schedule.histogram_at rounds must lie in 0..{n_rounds} (schedule.n_rounds), "
+                          f"got {outside}")
 
 
 def cmd_protocol(config: dict, out: Path, experiment: str) -> None:
@@ -436,7 +426,10 @@ def cmd_protocol(config: dict, out: Path, experiment: str) -> None:
     scheme = schedule["scheme"]
     if experiment != "histograms" and scheme != experiment:
         raise ConfigError(f"{experiment} runs schedule.scheme={experiment!r}, got {scheme!r}")
-    args, kwargs, _ = _protocol_call(config, scheme, schedule["policy"], schedule["n_rounds"])
+    _check_snapshot_rounds(schedule)
+    params = _build_params(config)
+    args = (thermal_state(params), params, scheme, schedule["n_rounds"], schedule["policy"])
+    kwargs = dict(charger=_build_charger(config), **_policy_inputs(schedule))
     attempts = None
     if schedule["sampling"]:
         trajectory, attempts = sample_protocol(*args, seed=config["seed"], **kwargs)
@@ -445,33 +438,41 @@ def cmd_protocol(config: dict, out: Path, experiment: str) -> None:
     if experiment == "histograms":
         _write_histograms(trajectory, schedule["histogram_at"], out)
         return
-    write_csv(out, PROTOCOL_HEADER, _trajectory_rows(trajectory, trajectory.params))
+    write_csv(out, PROTOCOL_HEADER, _trajectory_rows(trajectory, params))
     _write_histograms(trajectory, schedule["histogram_at"], out.with_name(out.stem + "_hist.csv"))
     _write_metadata(trajectory, config, experiment, out.with_suffix(".json"), attempts)
+
+
+# solve_ivp raises a smaller rtol to this floor, with a warning; integrate
+# scales the tolerance up, never down
+_RTOL_FLOOR = 100 * sys.float_info.epsilon
 
 
 def cmd_lindblad(config: dict, out: Path) -> None:
     from .lindblad import dissipative_protocol
 
     schedule = config["schedule"]
-    diss = _build_dissipation(config, _build_params(config))
+    params = _build_params(config)
+    diss = _build_dissipation(config, params)
     tolerances = {key: float(config["dissipation"][key]) for key in ("rtol", "atol")}
     for key, value in tolerances.items():
         if not (math.isfinite(value) and value > 0.0):
             raise ConfigError(f"dissipation.{key} must be finite and > 0, got {value}")
+    if tolerances["rtol"] < _RTOL_FLOOR:
+        raise ConfigError(f"dissipation.rtol must be >= {_RTOL_FLOOR!r} (100 machine epsilons, the solver's "
+                          f"floor), got {tolerances['rtol']}")
     scheme, policy, n_rounds = schedule["scheme"], schedule["policy"], schedule["n_rounds"]
+    initial, charger, inputs = thermal_state(params), _build_charger(config), _policy_inputs(schedule)
     tau_schedule = None
     if scheme == "power_off" or policy == "power_off_compromise":
         # mirror the closed-system compromise schedule so the damped run
         # is directly comparable; the compromise of another scheme is a
-        # config error
-        args, kwargs, _ = _protocol_call(config, scheme, "power_off_compromise", n_rounds)
-        tau_schedule = list(run_protocol(*args, **kwargs).taus())
+        # setting error
+        closed = run_protocol(initial, params, scheme, n_rounds, "power_off_compromise", charger=charger, **inputs)
+        tau_schedule = list(closed.taus())
         scheme, policy, n_rounds = "power_off", "schedule", len(tau_schedule)
-    (initial, params, *args), kwargs, _ = _protocol_call(config, scheme, policy, n_rounds, DAMPED_POLICIES,
-                                                         tau_schedule)
-    trajectory = dissipative_protocol(initial, params, diss, *args, charger=kwargs["charger"],
-                                      fixed_tau=kwargs["fixed_tau"], tau_schedule=tau_schedule,
+    trajectory = dissipative_protocol(initial, params, diss, scheme, n_rounds, policy,
+                                      charger=charger, fixed_tau=inputs["fixed_tau"], tau_schedule=tau_schedule,
                                       **tolerances)
     write_csv(out, PROTOCOL_HEADER, _trajectory_rows(trajectory, params))
     _write_metadata(trajectory, config, "lindblad", out.with_suffix(".json"))
@@ -535,7 +536,7 @@ def main(argv=None) -> int:
             cmd_lindblad(config, out_path)
         elif args.experiment == "validate":
             return cmd_validate(config, out_path)
-    except ConfigError as err:
+    except SettingError as err:  # a mistake in the config, the library's or the CLI's own
         print(f"config error: {err}", file=sys.stderr)
         return 1
     except Exception as err:  # runtime failures map to a distinct exit code

@@ -57,7 +57,7 @@ from scipy.integrate import solve_ivp
 from .propagator import ZERO_PROBABILITY_ATOL, ZeroProbabilityError, _check_interval
 from .rounds import RoundRecord, _scheme_charger
 from .scheduler import DAMPED_POLICIES, Trajectory, _drive, _interval_chooser
-from .states import BatteryState, ChargerSpec, SystemParams, mean_occupation, thermal_state
+from .states import BatteryState, ChargerSpec, SettingError, SystemParams, mean_occupation, thermal_state
 
 HERMITICITY_ATOL = 1e-10
 TRACE_ATOL = 1e-8
@@ -76,11 +76,11 @@ class DissipationParams:
     def __post_init__(self):
         values = (self.gamma_b, self.gamma_c, self.nbar_th, self.nbar_th_c)
         if not all(math.isfinite(v) for v in values):
-            raise ValueError(f"damping rates and bath occupations must be finite, got {values}")
+            raise SettingError(f"damping rates and bath occupations must be finite, got {values}")
         if self.gamma_b < 0 or self.gamma_c < 0:
-            raise ValueError("damping rates must be >= 0")
+            raise SettingError("damping rates must be >= 0")
         if self.nbar_th < 0 or self.nbar_th_c < 0:
-            raise ValueError("bath occupations must be >= 0")
+            raise SettingError("bath occupations must be >= 0")
 
     @classmethod
     def thermal(
@@ -359,7 +359,7 @@ def dissipative_protocol(
     (``DAMPED_POLICIES``): ``analytic`` (power-on only), ``fixed``, or
     ``schedule`` with one interval per round (e.g. mirrored from a
     closed-system run so the two are directly comparable). An unknown
-    scheme or policy, or a missing input, raises ValueError before any
+    scheme or policy, or a missing input, raises SettingError before any
     round runs.
 
     Tolerances default tighter than bare ``integrate`` so the spectral

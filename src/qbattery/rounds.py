@@ -29,7 +29,7 @@ from .propagator import (
     _diagonal_map,
     _map_weights,
 )
-from .states import POWER_OFF, POWER_ON, BatteryState, ChargerSpec, SystemParams
+from .states import POWER_OFF, POWER_ON, BatteryState, ChargerSpec, SettingError, SystemParams
 from .thermo import ThermoSnapshot
 
 SCHEMES = ("power_on", "power_off", "general")
@@ -64,20 +64,20 @@ _NAMED_SCHEMES = {"power_on": _Scheme("eg", "ground-state", POWER_ON),
 
 def _scheme_charger(scheme: str, charger: ChargerSpec | None) -> ChargerSpec:
     """The charger a round of ``scheme`` runs with, a named scheme's own or
-    ``charger``; raises ValueError for any other scheme or a missing charger."""
+    ``charger``; raises SettingError for any other scheme or a missing charger."""
     if scheme in _NAMED_SCHEMES:
         return _NAMED_SCHEMES[scheme].charger
     if scheme != "general":
-        raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
+        raise SettingError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
     if charger is None:
-        raise ValueError("the general scheme needs a ChargerSpec")
+        raise SettingError("the general scheme needs a ChargerSpec")
     return charger
 
 
 def _kind(scheme: str) -> str:
-    """The Kraus kind of a named scheme; raises ValueError for any other."""
+    """The Kraus kind of a named scheme; raises SettingError for any other."""
     if scheme not in _NAMED_SCHEMES:
-        raise ValueError(f"no closed-form probability for scheme {scheme!r}")
+        raise SettingError(f"no closed-form probability for scheme {scheme!r}")
     return _NAMED_SCHEMES[scheme].kind
 
 

@@ -27,7 +27,7 @@ import numpy as np
 from .propagator import ZeroProbabilityError, _diagonal_map, _kind_ladder, _ladder_weights, _map_weights, _shifted
 from .rounds import (RoundRecord, _kind, _named_populations, _scheme_charger, general_round, power_off_round,
                      power_on_round)
-from .states import BatteryState, ChargerSpec, SystemParams, mean_occupation
+from .states import BatteryState, ChargerSpec, SettingError, SystemParams, mean_occupation
 from .thermo import energy, snapshot
 
 POLICIES = ("analytic", "numeric", "power_off_compromise", "fixed")
@@ -197,9 +197,9 @@ def power_off_objective(
 
 def _check_compromise(x: float, objective: str) -> None:
     if x <= 1.0:
-        raise ValueError(f"the balance index x must exceed 1, got {x}")
+        raise SettingError(f"the balance index x must exceed 1, got {x}")
     if objective not in OBJECTIVES:
-        raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
+        raise SettingError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
 
 
 def _compromise(state: BatteryState, cumulative_p: float, x: float, objective: str):
@@ -286,29 +286,29 @@ def _interval_chooser(policy: str, scheme: str, params: SystemParams, n_rounds: 
                       objective="per_round", tau_max=None, grid_points=400, tau_schedule=None):
     """``choose_tau(state, cumulative, m)``, round m's interval under
     ``policy`` in a run of ``n_rounds`` rounds of ``scheme``. Raises
-    ValueError for a policy outside ``policies`` or without a rule for the
+    SettingError for a policy outside ``policies`` or without a rule for the
     scheme, or a missing policy input; interval values are checked in use."""
     if n_rounds < 1:
-        raise ValueError(f"n_rounds must be >= 1, got {n_rounds}")
+        raise SettingError(f"n_rounds must be >= 1, got {n_rounds}")
     if policy not in policies:
-        raise ValueError(f"policy must be one of {policies}, got {policy!r}")
+        raise SettingError(f"policy must be one of {policies}, got {policy!r}")
     if policy == "fixed":
         if fixed_tau is None:
-            raise ValueError("fixed policy needs fixed_tau")
+            raise SettingError("fixed policy needs fixed_tau")
         return lambda state, cumulative, m: fixed_tau
     if policy == "schedule":
         if tau_schedule is None or len(tau_schedule) < n_rounds:
-            raise ValueError("schedule policy needs a tau per round")
+            raise SettingError("schedule policy needs a tau per round")
         return lambda state, cumulative, m: float(tau_schedule[m - 1])
     if policy == "analytic":
         if scheme != "power_on":
-            raise ValueError("the analytic interval formula applies to the power_on scheme")
+            raise SettingError("the analytic interval formula applies to the power_on scheme")
         return lambda state, cumulative, m: tau_opt_analytic(state, params)
     if policy == "numeric":
         _kind(scheme)  # the optimizer scores the closed form of a named scheme
         return lambda state, cumulative, m: tau_opt_numeric(state, params, scheme, tau_max, grid_points)
     if scheme != "power_off":
-        raise ValueError("the compromise objective applies to the power_off scheme")
+        raise SettingError("the compromise objective applies to the power_off scheme")
     _check_compromise(x, objective)
     return lambda state, cumulative, m: tau_opt_power_off(state, params, cumulative, x, tau_max,
                                                           grid_points, objective)
@@ -372,7 +372,7 @@ def run_protocol(
 
     ``scheme`` is one of ``SCHEMES`` (``general`` needs ``charger``) and
     ``interval_policy`` one of ``POLICIES``; a mistake in either, or in
-    the policy's inputs, raises ValueError before any round runs.
+    the policy's inputs, raises SettingError before any round runs.
 
     Each record carries the post state, outcome probability, interval,
     and an energy/ergotropy snapshot. A zero-probability outcome or a

@@ -21,6 +21,10 @@ HERM_ATOL = 1e-10         # Hermiticity tolerance when ingesting matrices
 DIAG_ATOL = 1e-12         # off-diagonal magnitude below which a state is diagonal
 
 
+class SettingError(ValueError):
+    """A parameter, charger, scheme or interval-policy setting rejected before any work runs."""
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """Battery size, energies, coupling and initial inverse temperature.
@@ -39,16 +43,16 @@ class SystemParams:
 
     def __post_init__(self):
         if self.n_levels < 1:
-            raise ValueError(f"n_levels must be >= 1, got {self.n_levels}")
+            raise SettingError(f"n_levels must be >= 1, got {self.n_levels}")
         for name in ("g", "delta", "omega_c"):
             if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+                raise SettingError(f"{name} must be finite, got {getattr(self, name)}")
         if self.g < 0:
-            raise ValueError(f"coupling g must be >= 0, got {self.g}")
+            raise SettingError(f"coupling g must be >= 0, got {self.g}")
         if not self.beta >= 0:
-            raise ValueError(f"beta must be >= 0, got {self.beta}")
+            raise SettingError(f"beta must be >= 0, got {self.beta}")
         if self.omega_b <= 0:
-            raise ValueError(
+            raise SettingError(
                 f"delta={self.delta} leaves no positive ladder spacing "
                 f"(omega_b={self.omega_b})"
             )
@@ -80,11 +84,11 @@ class ChargerSpec:
 
     def __post_init__(self):
         if not 0.0 <= self.q <= 1.0:
-            raise ValueError(f"q must lie in [0, 1], got {self.q}")
+            raise SettingError(f"q must lie in [0, 1], got {self.q}")
         if not 0.0 <= self.theta <= math.pi:
-            raise ValueError(f"theta must lie in [0, pi], got {self.theta}")
+            raise SettingError(f"theta must lie in [0, pi], got {self.theta}")
         if not 0.0 <= self.c <= 1.0:
-            raise ValueError(f"c must lie in [0, 1], got {self.c}")
+            raise SettingError(f"c must lie in [0, 1], got {self.c}")
 
     def density_matrix(self) -> np.ndarray:
         """Qubit density matrix in the (|g>, |e>) basis."""

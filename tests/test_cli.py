@@ -134,6 +134,8 @@ def test_non_finite_damping_fails_the_run(tmp_path, capsys, assignment):
     ("dissipation.rtol=NaN", "dissipation.rtol must be finite and > 0, got nan"),
     ("dissipation.atol=0", "dissipation.atol must be finite and > 0, got 0.0"),
     ("dissipation.atol=-1", "dissipation.atol must be finite and > 0, got -1.0"),
+    # scipy raised this to its floor with a warning, and the sidecar kept 1e-20
+    ("dissipation.rtol=1e-20", "dissipation.rtol must be >= 2.220446049250313e-14"),
 ])
 def test_invalid_damping_is_a_config_error(tmp_path, capsys, assignment, message):
     # the same kind of mistake as in params: exit 1, not a runtime error
@@ -143,6 +145,18 @@ def test_invalid_damping_is_a_config_error(tmp_path, capsys, assignment, message
     assert main(argv) == 1
     assert f"config error: {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_rtol_at_the_solver_floor_runs_without_a_warning(tmp_path):
+    import warnings
+
+    from qbattery.cli import _RTOL_FLOOR
+
+    argv = ["lindblad", "--out", str(tmp_path / "x.csv"), "--set", "params.n_levels=4",
+            "--set", "schedule.n_rounds=1", "--set", f"dissipation.rtol={_RTOL_FLOOR!r}"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 0
 
 
 @pytest.mark.parametrize("tau", ["NaN", "Infinity", "-1"])
@@ -268,6 +282,7 @@ def test_protocol_csv_is_deterministic(tmp_path):
         "power_on",
         "--set", "params.n_levels=30",
         "--set", "schedule.n_rounds=6",
+        "--set", "schedule.histogram_at=[0,5]",
     ]
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main(args + ["--out", str(out1)]) == 0
@@ -280,6 +295,7 @@ def test_power_off_protocol_runs(tmp_path):
     code = main([
         "power_off", "--out", str(out),
         "--set", "schedule.n_rounds=5",
+        "--set", "schedule.histogram_at=[0,5]",
     ])
     assert code == 0
     header, rows = read_csv(out)
@@ -293,6 +309,7 @@ def test_sampling_mode_is_seed_deterministic(tmp_path):
         "power_on",
         "--set", "params.n_levels=30",
         "--set", "schedule.n_rounds=5",
+        "--set", "schedule.histogram_at=[0,5]",
         "--set", "schedule.sampling=true",
         "--set", "seed=11",
     ]
@@ -457,6 +474,24 @@ def test_interval_sweep_at_a_power_off_stall_is_a_config_error(tmp_path, capsys)
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("m_values, message", [
+    ("[1]", "cannot choose the round-1 marker interval: state has no excited population to work with"),
+    # these two used to exit 3 with "protocol produced no rounds"
+    ("[2]", "cannot prepare the round-2 state: protocol produced no rounds (round 1: state has no excited"),
+    ("[3]", "cannot prepare the round-3 state: protocol produced no rounds (round 1: state has no excited"),
+])
+def test_interval_sweep_stalling_in_round_one_is_a_config_error(tmp_path, capsys, m_values, message):
+    # power-off from the exact ground state has nothing to measure
+    code = main([
+        "interval_sweep", "--out", str(tmp_path / "x.csv"),
+        "--set", "schedule.scheme=power_off", "--set", 'params.beta="inf"', "--set", "params.n_levels=10",
+        "--set", "sweep.tau_points=5", "--set", f"sweep.m_values={m_values}",
+    ])
+    assert code == 1
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command, sets, message", [
     ("power_on", ("schedule.policy=numeric", "schedule.tau_max=-5"), "tau_max"),
     ("power_on", ("schedule.policy=numeric", "schedule.grid_points=0"), "grid_points"),
@@ -493,11 +528,82 @@ def test_invalid_schedule_is_a_config_error(tmp_path, capsys, command, assignmen
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command, sets, calls", [
+    ("power_on", (), 1),
+    ("histograms", (), 1),
+    ("lindblad", (), 1),
+    # the closed compromise run whose schedule the damped run mirrors
+    ("lindblad", ("schedule.scheme=power_off",), 2),
+])
+def test_each_protocol_command_resolves_its_run_once(tmp_path, monkeypatch, command, sets, calls):
+    # the CLI used to resolve every run itself before the library did again
+    from qbattery import cli, lindblad, scheduler
+
+    resolved = []
+    original = scheduler._interval_chooser
+
+    def counted(*args, **kwargs):
+        resolved.append(args[:2])
+        return original(*args, **kwargs)
+
+    for module in (cli, scheduler, lindblad):
+        monkeypatch.setattr(module, "_interval_chooser", counted)
+    argv = [command, "--out", str(tmp_path / "x.csv"), "--set", "params.n_levels=8",
+            "--set", "schedule.n_rounds=2", "--set", "schedule.histogram_at=[0,2]"]
+    for assignment in sets:
+        argv += ["--set", assignment]
+    assert main(argv) == 0
+    assert len(resolved) == calls
+
+
+@pytest.mark.parametrize("command", ["power_on", "power_off", "histograms"])
+@pytest.mark.parametrize("histogram_at, outside", [("[0,5]", "[5]"), ("[-1,2,3]", "[-1, 3]")])
+def test_snapshot_round_outside_the_run_is_a_config_error(tmp_path, capsys, no_rounds, command, histogram_at,
+                                                          outside):
+    # a round past the run used to be skipped without a word
+    argv = [command, "--out", str(tmp_path / "x.csv"), "--set", "params.n_levels=8",
+            "--set", "schedule.n_rounds=2", "--set", f"schedule.histogram_at={histogram_at}"]
+    assert main(argv) == 1
+    assert (f"config error: schedule.histogram_at rounds must lie in 0..2 (schedule.n_rounds), got {outside}"
+            in capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_snapshot_rounds_past_a_truncation_are_skipped(tmp_path):
+    # the cumulative objective stalls the power-off run at round 15 of 20
+    out = tmp_path / "off.csv"
+    assert main(["power_off", "--out", str(out), "--set", "schedule.objective=cumulative"]) == 0
+    assert json.loads(out.with_suffix(".json").read_text())["rounds_completed"] == 14
+    _, rows = read_csv(tmp_path / "off_hist.csv")
+    assert sorted({int(row[0]) for row in rows}) == [0, 5, 10]
+
+
+def test_loaded_configs_share_no_list_or_table():
+    from qbattery.cli import load_config
+
+    # power_off's histogram_at used to be the list of its override table
+    first = load_config("power_off", None, [])
+    expected = json.loads(json.dumps(first))
+    first["params"]["n_levels"] = 3
+    first["schedule"]["histogram_at"].append(99)
+    first["sweep"]["c_values"].append(0.5)
+    first["dissipation"].clear()
+    assert load_config("power_off", None, []) == expected
+
+
+def test_config_error_is_a_setting_error():
+    from qbattery import SettingError
+    from qbattery.cli import ConfigError
+
+    assert issubclass(ConfigError, SettingError) and issubclass(SettingError, ValueError)
+
+
 _CLOSED_SYSTEM_RUN = """
 import json, sys
 import qbattery, qbattery.cli
 code = qbattery.cli.main(["power_on", "--out", sys.argv[1],
-                          "--set", "params.n_levels=10", "--set", "schedule.n_rounds=2"])
+                          "--set", "params.n_levels=10", "--set", "schedule.n_rounds=2",
+                          "--set", "schedule.histogram_at=[0,2]"])
 scipy_after_run = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
 listed = {"DissipationParams", "dissipative_protocol", "integrate"} <= set(dir(qbattery))
 scipy_after_dir = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")

@@ -1,0 +1,86 @@
+"""Every setting the library rejects before any work raises SettingError,
+a ValueError; an invalid interval value, state or outcome does not."""
+
+import numpy as np
+import pytest
+
+from qbattery import (
+    BatteryState,
+    ChargerSpec,
+    NoChargingError,
+    SettingError,
+    SystemParams,
+    ZeroProbabilityError,
+    fock_state,
+    power_off_round,
+    power_on_round,
+    round_probability,
+    run_protocol,
+    tau_opt_numeric,
+    thermal_state,
+)
+from qbattery.lindblad import DissipationParams, dissipative_protocol
+
+SMALL = SystemParams(n_levels=8, g=0.04, delta=0.02, beta=0.1)
+NO_DAMPING = DissipationParams(0.0, 0.0, 0.0, 0.0)
+COHERENT = ChargerSpec(q=0.3, theta=1.2, c=1.0)
+STATE = thermal_state(SMALL)
+
+SETTING_MISTAKES = {
+    "n_levels=0": lambda: SystemParams(n_levels=0, g=0.04),
+    "beta<0": lambda: SystemParams(n_levels=8, g=0.04, beta=-2.0),
+    "g=nan": lambda: SystemParams(n_levels=8, g=float("nan")),
+    "q=2": lambda: ChargerSpec(q=2.0, theta=0.0),
+    "c=2": lambda: ChargerSpec(q=0.5, theta=0.0, c=2.0),
+    "gamma_b=-1": lambda: DissipationParams.thermal(SMALL, gamma_b=-1.0),
+    "nbar_th=inf": lambda: DissipationParams(1e-3, 1e-3, float("inf"), 0.0),
+    "unknown scheme": lambda: run_protocol(STATE, SMALL, "bogus", 2, "fixed", fixed_tau=1.0),
+    "general without charger": lambda: run_protocol(STATE, SMALL, "general", 2, "fixed", fixed_tau=1.0),
+    "no closed form for general": lambda: round_probability(STATE, SMALL, "general", 1.0),
+    "n_rounds=0": lambda: run_protocol(STATE, SMALL, "power_on", 0, "analytic"),
+    "unknown policy": lambda: run_protocol(STATE, SMALL, "power_on", 2, "bogus"),
+    "fixed without fixed_tau": lambda: run_protocol(STATE, SMALL, "power_on", 2, "fixed"),
+    "general under analytic": lambda: run_protocol(STATE, SMALL, "general", 2, "analytic", charger=COHERENT),
+    "numeric of general": lambda: run_protocol(STATE, SMALL, "general", 2, "numeric", charger=COHERENT),
+    "x=0.5": lambda: run_protocol(STATE, SMALL, "power_off", 2, "power_off_compromise", x=0.5),
+    "unknown objective": lambda: run_protocol(STATE, SMALL, "power_off", 2, "power_off_compromise",
+                                              objective="bogus"),
+    "general compromise": lambda: run_protocol(STATE, SMALL, "general", 2, "power_off_compromise",
+                                               charger=COHERENT),
+    "numeric damped policy": lambda: dissipative_protocol(STATE, SMALL, NO_DAMPING, "power_on", 2, "numeric"),
+    "damped unknown scheme": lambda: dissipative_protocol(STATE, SMALL, NO_DAMPING, "bogus", 2, "fixed",
+                                                          fixed_tau=1.0),
+    "schedule too short": lambda: dissipative_protocol(STATE, SMALL, NO_DAMPING, "power_off", 2, "schedule",
+                                                       tau_schedule=[1.0]),
+}
+
+
+@pytest.mark.parametrize("case", SETTING_MISTAKES)
+def test_a_setting_mistake_raises_setting_error_before_any_round(no_rounds, case):
+    with pytest.raises(SettingError) as excinfo:
+        SETTING_MISTAKES[case]()
+    assert excinfo.type is SettingError and isinstance(excinfo.value, ValueError)
+
+
+NOT_SETTINGS = {
+    "fixed_tau=-2": (ValueError, lambda: run_protocol(STATE, SMALL, "power_on", 2, "fixed", fixed_tau=-2.0)),
+    "tau_max=-5": (ValueError, lambda: tau_opt_numeric(STATE, SMALL, tau_max=-5.0)),
+    "grid_points=0": (ValueError, lambda: tau_opt_numeric(STATE, SMALL, grid_points=0)),
+    "negative round interval": (ValueError, lambda: power_on_round(STATE, SMALL, -1.0)),
+    "unnormalized state": (ValueError, lambda: BatteryState(np.array([0.5, 0.6]))),
+    "zero-probability round": (ZeroProbabilityError, lambda: power_off_round(fock_state(0, 8), SMALL, 1.0)),
+    "zero-probability first round": (NoChargingError, lambda: run_protocol(fock_state(0, 8), SMALL, "power_off", 2,
+                                                                           "fixed", fixed_tau=1.0)),
+    "damped zero-probability first round": (
+        ZeroProbabilityError,
+        lambda: dissipative_protocol(fock_state(0, 8), SMALL, NO_DAMPING, "power_off", 2, "fixed", fixed_tau=1.0),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", NOT_SETTINGS)
+def test_interval_state_and_outcome_errors_are_not_setting_errors(case):
+    error, call = NOT_SETTINGS[case]
+    with pytest.raises(error) as excinfo:
+        call()
+    assert not isinstance(excinfo.value, SettingError)
