@@ -39,7 +39,6 @@ from .states import (
     occupation_variance,
     thermal_state,
 )
-from .thermo import energy
 
 if TYPE_CHECKING:
     from .lindblad import DissipationParams

@@ -139,6 +139,5 @@ def _shifted(kind: str, populations: np.ndarray) -> np.ndarray:
 def _diagonal_map(kind: str, weights: np.ndarray, populations: np.ndarray) -> np.ndarray:
     """Unnormalized populations after the map of one Kraus kind: the
     ``_shifted`` populations times the weight of the level each lands on.
-    ``weights`` may carry an interval axis and may be a read-only cached
-    grid, so the result is a fresh array."""
+    ``weights`` may carry an interval axis; the result is a fresh array."""
     return weights * _shifted(kind, populations)

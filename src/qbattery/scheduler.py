@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .propagator import ZeroProbabilityError, _diagonal_map, _kind_ladder, _ladder_weights, _map_weights, _shifted
+from .propagator import ZeroProbabilityError, _kind_ladder, _ladder_weights, _map_weights, _shifted
 from .rounds import (RoundRecord, _kind, _named_populations, _scheme_charger, general_round, power_off_round,
                      power_on_round)
 from .states import BatteryState, ChargerSpec, SettingError, SystemParams, mean_occupation
@@ -103,16 +103,16 @@ def _golden_max(f, lo: float, hi: float, rel_tol: float = 1e-6) -> float:
     return 0.5 * (a + b)
 
 
-def _tau_grid(
-    state: BatteryState, params: SystemParams, scheme: str, tau_max: float | None, grid_points: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Uniform grid on (0, tau_max] and the unnormalized populations after
-    a round of ``scheme`` at each interval, shape (grid_points, N+1). The
-    default span covers the first few swap lobes of every relevant block.
-    The map weights depend on the ladder, g, delta and the grid but not on
-    the state, so they are built once per grid and each call is a single
-    product with the shifted populations."""
-    kind = _kind(scheme)
+def _tau_grid(params: SystemParams, kind: str, tau_max: float | None, grid_points: int,
+              columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Uniform grid on (0, tau_max] and, at each interval, the sums of the
+    populations after a map of ``kind``: ``columns`` holds ``_shifted``
+    populations, shape (N+1,) or (N+1, k) for k weightings of them, and
+    the result has shape (grid_points,) or (grid_points, k). The default
+    span covers the first few swap lobes of every relevant block. The map
+    weights depend on the ladder, g, delta and the grid but not on the
+    state, so they are built once per grid and each call is a single
+    matrix product with the columns."""
     if tau_max is None:
         tau_max = 2.0 * math.pi / params.g
     if not grid_points >= 1:
@@ -120,7 +120,7 @@ def _tau_grid(
     if not (math.isfinite(tau_max) and tau_max > 0.0):
         raise ValueError(f"tau_max must be finite and > 0, got {tau_max}")
     taus, weights = _grid_weights(params, kind, tau_max, grid_points)
-    return taus, _diagonal_map(kind, weights, state.populations)
+    return taus, weights @ columns
 
 
 @functools.lru_cache(maxsize=8)
@@ -169,9 +169,10 @@ def tau_opt_numeric(
     Grid argmax refined by golden-section search between the two
     neighboring grid points.
     """
-    taus, out = _tau_grid(state, params, scheme, tau_max, grid_points)
-    i = int(out.sum(axis=-1).argmax())
-    return _refine(state, params, scheme, taus, i, np.add.reduce)
+    kind = _kind(scheme)
+    shifted = _shifted(kind, state.populations)
+    taus, prob = _tau_grid(params, kind, tau_max, grid_points, shifted)
+    return _refine(params, kind, shifted, taus, int(prob.argmax()), np.add.reduce)
 
 
 def power_off_objective(
@@ -190,8 +191,9 @@ def power_off_objective(
     1-D array of intervals gives one value per interval.
     """
     out = _named_populations(state.populations, params, tau, "power_off")
+    moments = _row_moments(out, np.arange(state.populations.size))
     with np.errstate(divide="ignore", invalid="ignore"):
-        value = _compromise(state, cumulative_p, x, objective)(out)
+        value = _compromise(state, cumulative_p, x, objective)(*moments)
     return float(value) if value.ndim == 0 else value
 
 
@@ -203,28 +205,33 @@ def _check_compromise(x: float, objective: str) -> None:
 
 
 def _compromise(state: BatteryState, cumulative_p: float, x: float, objective: str):
-    """``power_off_objective`` as a function of the unnormalized post-round
-    populations ``out``, which it overwrites. The levels, the mean and log x
-    are fixed for the state, so they are prepared once for all the intervals
-    an optimization scores; call the function under
-    ``np.errstate(divide="ignore", invalid="ignore")``."""
+    """``power_off_objective`` as a function of the probability and the
+    unnormalized first moment of the post-round populations, scalars or
+    one per interval. The mean and log x are fixed for the state, so they
+    are prepared once for all the intervals an optimization scores; call
+    the function under ``np.errstate(divide="ignore", invalid="ignore")``."""
     _check_compromise(x, objective)
-    levels = np.arange(state.populations.size)
     mean = mean_occupation(state)
     log_x = np.log(x)
 
-    def score(out: np.ndarray) -> np.ndarray:
-        prob = out.sum(axis=-1)
+    def score(prob, moment):
         weight = cumulative_p * prob if objective == "cumulative" else prob
-        # a row sum rather than a dot product, so that a grid of intervals
-        # and the scalar refinement round alike
-        out *= levels
-        ratio = out.sum(axis=-1) / prob / mean
+        ratio = moment / prob / mean
         value = np.exp(x * weight) * np.log(ratio) / log_x
         # no outcome, or everything landed on level 0
         return np.where((prob > 0.0) & (ratio > 0.0), value, -np.inf)
 
     return score
+
+
+def _row_moments(out: np.ndarray, levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Probability and unnormalized first moment of the post-round
+    populations ``out`` on ``levels`` as row sums, overwriting ``out``:
+    the order in which a single interval is scored, so that
+    ``power_off_objective`` and the refinement agree bit for bit."""
+    prob = out.sum(axis=-1)
+    out *= levels
+    return prob, out.sum(axis=-1)
 
 
 def tau_opt_power_off(
@@ -246,32 +253,33 @@ def tau_opt_power_off(
     if mean_occupation(state) <= 0.0:
         raise NoChargingError("state has no excited population to work with")
     score = _compromise(state, cumulative_p, x, objective)
-    taus, out = _tau_grid(state, params, "power_off", tau_max, grid_points)
+    kind = _kind("power_off")
+    shifted = _shifted(kind, state.populations)
+    levels = np.arange(shifted.size)
+    # the probability and the first moment at every interval in one product
+    taus, sums = _tau_grid(params, kind, tau_max, grid_points, np.array([shifted, levels * shifted]).T)
     with np.errstate(divide="ignore", invalid="ignore"):
-        vals = score(out)
+        vals = score(sums[:, 0], sums[:, 1])
         if not (vals > 0.0).any():
             raise NoChargingError("no candidate interval raises the mean population")
-        return _refine(state, params, "power_off", taus, int(vals.argmax()), score)
+        return _refine(params, kind, shifted, taus, int(vals.argmax()),
+                       lambda out: score(*_row_moments(out, levels)))
 
 
-def _refine(state: BatteryState, params: SystemParams, scheme: str, taus: np.ndarray, i: int,
-            score) -> float:
+def _refine(params: SystemParams, kind: str, shifted: np.ndarray, taus: np.ndarray, i: int, score) -> float:
     """Golden-section refinement of grid point ``i`` between its two
     neighbors, maximizing ``score`` of the unnormalized populations after
-    a round of ``scheme``.
+    the map of ``kind`` on the ``_shifted`` populations ``shifted``.
 
-    The ladder and the shifted populations do not depend on the interval,
-    so they are prepared once; each point then runs the ufuncs of
-    ``_map_weights`` and ``_diagonal_map`` and scores bit for bit the
-    value that ``round_probability`` or ``power_off_objective`` returns.
-    The bracket lies inside the checked grid, so the points skip the
-    interval check.
+    The ladder does not depend on the interval, so it is looked up once;
+    each point then runs the ufuncs of ``_map_weights`` and
+    ``_diagonal_map`` and a row sum, and scores bit for bit the value that
+    ``round_probability`` or ``power_off_objective`` returns. The bracket
+    lies inside the checked grid, so the points skip the interval check.
     """
     lo = taus[i - 1] if i > 0 else taus[i] / 2.0
     hi = taus[i + 1] if i + 1 < taus.size else taus[i]
-    kind = _kind(scheme)
     ladder = _kind_ladder(params, kind)
-    shifted = _shifted(kind, state.populations)
 
     def at(tau):
         out = _ladder_weights(params, ladder, tau, kind)

@@ -364,20 +364,57 @@ def test_cached_grid_gives_bit_identical_intervals_randomized():
         assert _optimized_tau(*case) == expected
 
 
+@pytest.mark.parametrize("n_levels", [5, 30, 100, 400])
+def test_tied_grid_peaks_break_to_the_first_interval(n_levels):
+    # the ground state and Fock states have periodic round probabilities
+    # with exactly equal peaks; the grid's matrix product must pick the
+    # same first maximum as the fresh row sums
+    for delta in (0.0, 0.02):
+        params = SystemParams(n_levels=n_levels, g=0.04, delta=delta, beta=math.inf)
+        for state in (thermal_state(params), *(fock_state(k, n_levels) for k in (1, 3, n_levels // 2))):
+            for tau_max in (None, 80.0):
+                for grid_points in (1, 2, 50, 400):
+                    for scheme, objective in (("power_on", "per_round"), ("power_off", "per_round"),
+                                              ("power_off", "cumulative")):
+                        case = (state, params, scheme, tau_max, grid_points, 0.5, objective)
+                        assert _optimized_tau(*case) == _fresh_tau(*case)
+
+
+@pytest.mark.parametrize("optimize", [
+    lambda state, params: tau_opt_numeric(state, params),
+    lambda state, params: tau_opt_power_off(state, params),
+], ids=["numeric", "power_off"])
+def test_warm_optimization_allocates_no_grid(optimize):
+    # one 400 x 401 grid of populations is 1.28 MB; a warm optimization
+    # scores the cached weights without allocating anything of that size
+    import tracemalloc
+
+    params = SystemParams(n_levels=400, g=0.04, delta=0.02, beta=0.05)
+    state = thermal_state(params)
+    optimize(state, params)  # fills the grid cache
+    tracemalloc.start()
+    try:
+        optimize(state, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 1024
+
+
 def test_refinement_prepares_each_state_once(monkeypatch):
-    # the ladder and the shifted populations are set up once per call, not
-    # once per golden-section point: the counts stay put while the number
-    # of points changes with the grid
+    # the populations are shifted once per call, for the grid and the
+    # refinement alike, and the ladder is looked up once, not once per
+    # golden-section point: the counts stay put while the number of points
+    # changes with the grid
     import qbattery.propagator as propagator
-    import qbattery.rounds as rounds
     import qbattery.scheduler as scheduler
 
-    counts = {"maps": 0, "points": 0}
-    original_map, original_golden = propagator._diagonal_map, scheduler._golden_max
+    counts = {"shifts": 0, "points": 0}
+    original_shifted, original_golden = propagator._shifted, scheduler._golden_max
 
-    def counted_map(*args):
-        counts["maps"] += 1
-        return original_map(*args)
+    def counted_shifted(*args):
+        counts["shifts"] += 1
+        return original_shifted(*args)
 
     def counted_golden(f, lo, hi, *args):
         def point(tau):
@@ -385,8 +422,8 @@ def test_refinement_prepares_each_state_once(monkeypatch):
             return f(tau)
         return original_golden(point, lo, hi, *args)
 
-    for module in (propagator, rounds, scheduler):
-        monkeypatch.setattr(module, "_diagonal_map", counted_map)
+    for module in (propagator, scheduler):
+        monkeypatch.setattr(module, "_shifted", counted_shifted)
     monkeypatch.setattr(scheduler, "_golden_max", counted_golden)
     state = thermal_state(WARM)
     for optimize in (
@@ -397,27 +434,27 @@ def test_refinement_prepares_each_state_once(monkeypatch):
         for grid in ((None, 400), (150.0, 37)):
             optimize(*grid)  # fills the grid cache
             ladder = propagator._ladder.cache_info()
-            counts.update(maps=0, points=0)
+            counts.update(shifts=0, points=0)
             optimize(*grid)
             after = propagator._ladder.cache_info()
             lookups = after.hits + after.misses - ladder.hits - ladder.misses
             assert counts["points"] > 10
-            assert (lookups, counts["maps"]) == (1, 1)
+            assert (lookups, counts["shifts"]) == (1, 1)
             seen.add(counts["points"])
         assert len(seen) == 2
 
 
 def test_cached_arrays_are_read_only():
-    from qbattery.propagator import _ladder
+    from qbattery.propagator import _ladder, _shifted
     from qbattery.scheduler import _grid_weights, _tau_grid
 
     taus, weights = _grid_weights(WARM, "eg", 150.0, 400)
     for array in (taus, weights, *_ladder(WARM, 1)):
         with pytest.raises(ValueError, match="read-only"):
             array[..., 0] = 0
-    # a round scored from the grid gets a fresh product
+    # the sums scored from the grid are a fresh array
     before = weights.copy()
-    _, out = _tau_grid(thermal_state(WARM), WARM, "power_on", 150.0, 400)
+    _, out = _tau_grid(WARM, "eg", 150.0, 400, _shifted("eg", thermal_state(WARM).populations))
     assert out.flags.writeable and not np.shares_memory(out, weights)
     np.testing.assert_array_equal(weights, before)
 
