@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import copy
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -248,8 +249,16 @@ def _write_lines(path: Path, header: list[str], lines) -> None:
         fh.writelines(lines)
 
 
-def write_csv(path: Path, header: list[str], rows) -> None:
-    _write_lines(path, header, (",".join(_fmt(v) for v in row) + "\n" for row in rows))
+def _cells(values) -> list[str]:
+    """``_fmt`` of each value, a float's repr taken directly; pass an
+    array's ``tolist()``."""
+    return [repr(v) if type(v) is float else _fmt(v) for v in values]
+
+
+def write_csv(path: Path, header: list[str], columns) -> None:
+    """The schema line, ``header`` and one row per cell of ``columns``,
+    equal-length lists of cells each rendered once (see ``_cells``)."""
+    _write_lines(path, header, (",".join(row) + "\n" for row in zip(*columns)))
 
 
 def _check_counts(sweep: dict, *keys: str) -> None:
@@ -306,7 +315,8 @@ def cmd_interval_sweep(config: dict, out: Path) -> None:
     choose_tau = _interval_chooser(policy, scheme, params, max(m_values), **inputs)
     initial = thermal_state(params)
     prepared, reason = [(initial, 1.0)], None
-    rows = []
+    tau_cells = _cells(taus.tolist())
+    columns = [[] for _ in range(7)]  # scheme, m, tau, nbar, prob and the two markers
     for m in m_values:
         if m > 1 and len(prepared) == 1:
             # one run prepares every m, made where the first m > 1 needs it
@@ -327,22 +337,24 @@ def cmd_interval_sweep(config: dict, out: Path) -> None:
         except NoChargingError as err:
             # the run stalls at round m itself; a stall before round m is a config error too
             raise ConfigError(f"cannot choose the round-{m} marker interval: {err}") from err
-        for tau in taus:
+        nbars, probs = [], []
+        for tau in taus.tolist():
             try:
-                rec = one_round(state, params, float(tau))
-                nbar, prob = mean_occupation(rec.post_state), rec.probability
+                rec = one_round(state, params, tau)
+                nbars.append(mean_occupation(rec.post_state))
+                probs.append(rec.probability)
             except ZeroProbabilityError:
-                nbar = None
-                prob = round_probability(state, params, scheme, float(tau))
-            rows.append((scheme, m, float(tau), nbar, prob, marker_analytic, marker_numeric))
-    write_csv(
-        out,
-        ["scheme", "m", "tau", "nbar", "prob", "tau_opt_analytic", "tau_opt_numeric"],
-        rows,
-    )
+                nbars.append(None)
+                probs.append(round_probability(state, params, scheme, tau))
+        k = len(tau_cells)
+        for column, cells in zip(columns, ([scheme] * k, [str(m)] * k, tau_cells, _cells(nbars), _cells(probs),
+                                           [_fmt(marker_analytic)] * k, [_fmt(marker_numeric)] * k)):
+            column += cells
+    write_csv(out, ["scheme", "m", "tau", "nbar", "prob", "tau_opt_analytic", "tau_opt_numeric"], columns)
 
 
-def _trajectory_rows(trajectory, params: SystemParams):
+def _trajectory_columns(trajectory, params: SystemParams) -> list[list[str]]:
+    """The rendered columns of ``PROTOCOL_HEADER``: the initial state's row, then one per round."""
     from .thermo import snapshot
 
     initial = trajectory.initial_state
@@ -360,7 +372,7 @@ def _trajectory_rows(trajectory, params: SystemParams):
             rec.thermo.energy, rec.thermo.ergotropy, rec.thermo.ratio, rec.thermo.power,
             *_moments(rec.post_state),
         ))
-    return rows
+    return [_cells(column) for column in zip(*rows)]
 
 
 def _moments(state: BatteryState) -> tuple:
@@ -376,16 +388,15 @@ PROTOCOL_HEADER = [
 
 
 def _write_histograms(trajectory, at_rounds, path: Path) -> None:
-    rows = []
-    states = {0: trajectory.initial_state}
-    for m, rec in enumerate(trajectory.rounds, start=1):
-        states[m] = rec.post_state
+    states = [trajectory.initial_state, *trajectory.states()]
+    level_cells = [str(level) for level in range(states[0].populations.size)]
+    columns = [[], [], []]  # m, level, population
     for m in at_rounds:
-        if m not in states:
-            continue
-        for level, pop in enumerate(states[m].populations):
-            rows.append((m, level, float(pop)))
-    write_csv(path, ["m", "level", "population"], rows)
+        if 0 <= m < len(states):
+            columns[0] += [str(m)] * len(level_cells)
+            columns[1] += level_cells
+            columns[2] += _cells(states[m].populations.tolist())
+    write_csv(path, ["m", "level", "population"], columns)
 
 
 def _write_metadata(trajectory, config: dict, experiment: str, path: Path, attempts=None) -> None:
@@ -437,7 +448,7 @@ def cmd_protocol(config: dict, out: Path, experiment: str) -> None:
     if experiment == "histograms":
         _write_histograms(trajectory, schedule["histogram_at"], out)
         return
-    write_csv(out, PROTOCOL_HEADER, _trajectory_rows(trajectory, params))
+    write_csv(out, PROTOCOL_HEADER, _trajectory_columns(trajectory, params))
     _write_histograms(trajectory, schedule["histogram_at"], out.with_name(out.stem + "_hist.csv"))
     _write_metadata(trajectory, config, experiment, out.with_suffix(".json"), attempts)
 
@@ -473,7 +484,7 @@ def cmd_lindblad(config: dict, out: Path) -> None:
     trajectory = dissipative_protocol(initial, params, diss, scheme, n_rounds, policy,
                                       charger=charger, fixed_tau=inputs["fixed_tau"], tau_schedule=tau_schedule,
                                       **tolerances)
-    write_csv(out, PROTOCOL_HEADER, _trajectory_rows(trajectory, params))
+    write_csv(out, PROTOCOL_HEADER, _trajectory_columns(trajectory, params))
     _write_metadata(trajectory, config, "lindblad", out.with_suffix(".json"))
 
 
@@ -495,7 +506,10 @@ def cmd_validate(config: dict, out: Path | None) -> int:
     return 0 if all(r.passed for r in results) else 2
 
 
-def main(argv=None) -> int:
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, and ``append`` copies the ``--set`` default before adding."""
     parser = argparse.ArgumentParser(
         prog="qbattery",
         description="Measurement-fueled quantum-battery charging experiments",
@@ -507,7 +521,11 @@ def main(argv=None) -> int:
         p.add_argument("--out", default=None, help="output path (CSV, or text for validate)")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override a config field (dotted keys, JSON values)")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         config = load_config(args.experiment, args.config, args.set)

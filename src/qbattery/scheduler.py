@@ -11,6 +11,10 @@ Interval policies:
 * ``fixed`` -- a constant interval supplied by the caller.
 * ``schedule`` -- one given interval per round (damped protocol only).
 
+The refinement of both optimizing policies decides its comparisons from
+a certified Taylor model of the score and evaluates the exact score only
+on near-ties, so its interval is bit for bit that of the exact search.
+
 Protocols condition on the desired outcome every round (post-selection)
 and track the cumulative success probability; ``sample_protocol`` adds a
 seeded restart-on-failure simulation for demonstrations.
@@ -84,22 +88,46 @@ class Trajectory:
         return np.array([e0] + [r.thermo.energy for r in self.rounds])
 
 
-def _golden_max(f, lo: float, hi: float, rel_tol: float = 1e-6) -> float:
-    """Golden-section maximization of a unimodal scalar function."""
+def _golden_max(lo: float, hi: float, exact, model=None, per_width: float = 0.0, rel_tol: float = 1e-6) -> float:
+    """Golden-section maximization of a unimodal scalar function ``exact``
+    on [lo, hi].
+
+    ``model(tau)``, if given, returns an estimate of ``exact(tau)``, up to
+    a constant common to all points, and a bound e(tau) on its share of
+    the error of a gap: points c and d are compared from the model when
+    |model gap| > e(c) + e(d) + ``per_width`` |c - d|, and from ``exact`` at
+    both otherwise. Either way each comparison has the outcome of
+    ``exact(c) > exact(d)``, so the points walked and the returned
+    midpoint are those of the exact search.
+    """
+    def point(tau):
+        return model(tau) if model is not None else (exact(tau), 0.0)
+
+    known = {}  # exact values by point: a run of near-ties shares one point per comparison
+
+    def exact_at(tau):
+        if tau not in known:
+            known[tau] = exact(tau)
+        return known[tau]
+
     a, b = lo, hi
     c = b - GOLDEN * (b - a)
     d = a + GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
+    (fc, ec), (fd, ed) = point(c), point(d)
     scale = max(abs(lo), abs(hi), 1e-12)
     while (b - a) > rel_tol * scale:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - GOLDEN * (b - a)
-            fc = f(c)
+        if model is None or abs(fc - fd) > ec + ed + per_width * abs(d - c):
+            c_wins = fc > fd
         else:
-            a, c, fc = c, d, fd
+            c_wins = exact_at(c) > exact_at(d)
+        if c_wins:
+            b, d, fd, ed = d, c, fc, ec
+            c = b - GOLDEN * (b - a)
+            fc, ec = point(c)
+        else:
+            a, c, fc, ec = c, d, fd, ed
             d = a + GOLDEN * (b - a)
-            fd = f(d)
+            fd, ed = point(d)
     return 0.5 * (a + b)
 
 
@@ -172,7 +200,7 @@ def tau_opt_numeric(
     kind = _kind(scheme)
     shifted = _shifted(kind, state.populations)
     taus, prob = _tau_grid(params, kind, tau_max, grid_points, shifted)
-    return _refine(params, kind, shifted, taus, int(prob.argmax()), np.add.reduce)
+    return _refine(params, kind, shifted, taus, int(prob.argmax()))
 
 
 def power_off_objective(
@@ -204,24 +232,32 @@ def _check_compromise(x: float, objective: str) -> None:
         raise SettingError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
 
 
-def _compromise(state: BatteryState, cumulative_p: float, x: float, objective: str):
-    """``power_off_objective`` as a function of the probability and the
-    unnormalized first moment of the post-round populations, scalars or
-    one per interval. The mean and log x are fixed for the state, so they
-    are prepared once for all the intervals an optimization scores; call
-    the function under ``np.errstate(divide="ignore", invalid="ignore")``."""
-    _check_compromise(x, objective)
-    mean = mean_occupation(state)
-    log_x = np.log(x)
+@dataclass(frozen=True)
+class _Compromise:
+    """``power_off_objective`` as a function of the probability P and the
+    unnormalized first moment M of the post-round populations, scalars or
+    one per interval: exp(x w P) log(M / (P mean)) / log x, with w the
+    cumulative probability before the round for the cumulative objective
+    and 1 for the per-round one. The mean and log x are fixed for the
+    state, so they are prepared once for all the intervals an optimization
+    scores; call it under ``np.errstate(divide="ignore", invalid="ignore")``."""
 
-    def score(prob, moment):
-        weight = cumulative_p * prob if objective == "cumulative" else prob
-        ratio = moment / prob / mean
-        value = np.exp(x * weight) * np.log(ratio) / log_x
+    weight: float
+    x: float
+    mean: float
+    log_x: float
+
+    def __call__(self, prob, moment):
+        weight = self.weight * prob
+        ratio = moment / prob / self.mean
+        value = np.exp(self.x * weight) * np.log(ratio) / self.log_x
         # no outcome, or everything landed on level 0
         return np.where((prob > 0.0) & (ratio > 0.0), value, -np.inf)
 
-    return score
+
+def _compromise(state: BatteryState, cumulative_p: float, x: float, objective: str) -> _Compromise:
+    _check_compromise(x, objective)
+    return _Compromise(cumulative_p if objective == "cumulative" else 1.0, x, mean_occupation(state), np.log(x))
 
 
 def _row_moments(out: np.ndarray, levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -262,31 +298,204 @@ def tau_opt_power_off(
         vals = score(sums[:, 0], sums[:, 1])
         if not (vals > 0.0).any():
             raise NoChargingError("no candidate interval raises the mean population")
-        return _refine(params, kind, shifted, taus, int(vals.argmax()),
-                       lambda out: score(*_row_moments(out, levels)))
+        return _refine(params, kind, shifted, taus, int(vals.argmax()), score)
 
 
-def _refine(params: SystemParams, kind: str, shifted: np.ndarray, taus: np.ndarray, i: int, score) -> float:
+def _refine(params: SystemParams, kind: str, shifted: np.ndarray, taus: np.ndarray, i: int,
+            compromise: _Compromise | None = None) -> float:
     """Golden-section refinement of grid point ``i`` between its two
-    neighbors, maximizing ``score`` of the unnormalized populations after
-    the map of ``kind`` on the ``_shifted`` populations ``shifted``.
+    neighbors. It maximizes the probability after the map of ``kind`` on
+    the ``_shifted`` populations ``shifted`` or, given ``compromise``, that
+    score of the probability and first moment.
 
-    The ladder does not depend on the interval, so it is looked up once;
-    each point then runs the ufuncs of ``_map_weights`` and
+    The ladder does not depend on the interval, so it is looked up once.
+    An exact point runs the ufuncs of ``_map_weights`` and
     ``_diagonal_map`` and a row sum, and scores bit for bit the value that
     ``round_probability`` or ``power_off_objective`` returns. The bracket
     lies inside the checked grid, so the points skip the interval check.
+    Comparisons are decided from the certified Taylor model of
+    ``_interval_model`` where it can, so most refinements score only a
+    few exact points; the returned interval is the exact search's.
     """
-    lo = taus[i - 1] if i > 0 else taus[i] / 2.0
-    hi = taus[i + 1] if i + 1 < taus.size else taus[i]
+    lo = float(taus[i - 1] if i > 0 else taus[i] / 2.0)
+    hi = float(taus[i + 1] if i + 1 < taus.size else taus[i])
     ladder = _kind_ladder(params, kind)
+    levels = np.arange(shifted.size)
 
     def at(tau):
         out = _ladder_weights(params, ladder, tau, kind)
         out *= shifted
-        return score(out)
+        if compromise is None:
+            return np.add.reduce(out)
+        return compromise(*_row_moments(out, levels))
 
-    return _golden_max(at, lo, hi)
+    return _golden_max(lo, hi, at, *_interval_model(params, kind, ladder, shifted, levels, lo, hi, compromise))
+
+
+# The refinement's Taylor models: their degree K, the accuracy
+# assumed of numpy's and the math module's float64 sin, cos, exp and log
+# in units in the last place (an ulp of y is at most 2u|y|), and the
+# factor that widens every error bound.
+TAYLOR_DEGREE = 18
+_FUNCTION_ULPS = 4
+_SAFETY = 10.0
+_UNIT = 2.0**-53  # unit roundoff u of float64
+# Added to every gap bound and to the compromise's bounds on P and M: it
+# covers any rounding in the subnormal range.
+_GAP_FLOOR = 1e-300
+# The weights of B cos and B sin in Taylor coefficient k, by k mod 4:
+# d^k/ds^k cos(phi + s) = cos(phi + k pi/2).
+_COS_SIGN = np.array([(-0.5, 0.0, 0.5, 0.0)[k % 4] for k in range(TAYLOR_DEGREE + 1)])
+_SIN_SIGN = np.array([(0.0, 0.5, 0.0, -0.5)[k % 4] for k in range(TAYLOR_DEGREE + 1)])
+
+
+@functools.lru_cache(maxsize=8)
+def _taylor_table(params: SystemParams, kind: str) -> np.ndarray:
+    """Read-only (K + 2, N + 1) table of (2 O_n)^k / k!, k = 0..K + 1, on
+    ``kind``'s ladder; row k carries a relative rounding error of at most
+    2k units. 61 KB at N = 400."""
+    two_omega = 2.0 * _kind_ladder(params, kind)[0]
+    table = np.empty((TAYLOR_DEGREE + 2, two_omega.size))
+    table[0] = 1.0
+    for k in range(1, TAYLOR_DEGREE + 2):
+        np.multiply(table[k - 1], two_omega, out=table[k])
+        table[k] /= k
+    table.flags.writeable = False
+    return table
+
+
+def _pairwise_depth(n: int) -> int:
+    """Most roundings any term of numpy's pairwise sum of n terms goes
+    through: blocks of at most 128 terms, summed by 8 accumulators of up
+    to 16 terms, joined in 3 levels, and up to 7 left-over terms; one level
+    per halving above 128, and one where the reduction's first element
+    joins."""
+    return 27 + max(0, math.ceil(math.log2(n / 128.0)) + 1)
+
+
+def _interval_model(params: SystemParams, kind: str, ladder: tuple, shifted: np.ndarray, levels: np.ndarray,
+                    lo: float, hi: float, compromise: _Compromise | None):
+    """``(model, per_width)`` for ``_golden_max``: the refinement's score
+    from Taylor models about the bracket centre tau0, with error bounds
+    that also cover the exact points' own errors. No model, and every
+    comparison exact, when x = 2 O_N h, with h the bracket's half width,
+    exceeds 1.
+
+    The probability is P(tau) = sum_n B_n (1 - cos 2 O_n tau) / 2 with B_n
+    = g^2 n shifted_n / O_n^2 on ``kind``'s ladder, and the first moment M
+    the same sum with n B_n. About tau0, P's Taylor coefficients are
+
+        c_k = -1/2 sum_n B_n (2 O_n)^k / k! cos(2 O_n tau0 + k pi/2),
+
+    so one product of ``_taylor_table`` with B cos(2 O tau0), B sin(2 O
+    tau0) and B gives the coefficients up to degree K and the sums S_i =
+    sum_n B_n (2 O_n)^i / i! that bound the errors; with n B_n it gives
+    the same for M. c_1 and 2 c_2 are P'(tau0) and P''(tau0). With u the
+    unit roundoff, a point's model value carries
+
+    * the Taylor remainder, S_{K+1} h^{K+1} / 2, below u S_0 / 2 at x <= 1;
+    * Horner's rounding, gamma_{2K+1} S_0 (e^x - 1) / 2 (Higham, Accuracy
+      and Stability of Numerical Algorithms, 2nd ed., 5.1), and that of
+      tau - tau0, u h S_1 e^x / 2;
+
+    and the exact point's value its own error: u hi S_1 / 2 from rounding
+    the argument O_n tau, ``_FUNCTION_ULPS`` ulp of sin, six products, and
+    the pairwise sum, which rounds each term ``_pairwise_depth`` times.
+    The coefficients' errors come from the rounded phase 2 O_n tau0 (u 2
+    O_n tau0), from the amplitudes, the table, cos and sin and the
+    products (6 + 2K + 2 ``_FUNCTION_ULPS`` units) and from the matrix
+    product's sums (N + 1 units, in any order).
+
+    The probability's comparisons need only gaps, so c_0 is left out, and
+    the coefficients' errors, common to both points, enter a gap as dc_i
+    (t_c^i - t_d^i), at most i h^(i-1) |c - d| |dc_i|; summed, ``per_width``
+    |c - d|. The compromise score needs the values of P and M, so P(tau0)
+    and M(tau0) are summed pairwise from B (1 - cos 2 O tau0) and each
+    point's bounds on the errors of P and M include the coefficients'
+    share, at most sum_i |dc_i| h^i (``_compromise_model``). Every bound is
+    widened by ``_SAFETY``.
+    """
+    omega, divisor, _, g2n = ladder
+    if compromise is None and not shifted[g2n != 0.0].any():
+        # P is 0 at every interval: each exact point scores 0 and loses every comparison
+        return (lambda tau: (0.0, -1.0)), 0.0
+    half_width = 0.5 * (hi - lo)
+    x = 2.0 * omega[-1] * half_width
+    if not x <= 1.0:
+        return None, 0.0
+    k, n, u = TAYLOR_DEGREE, shifted.size, _UNIT
+    centre = 0.5 * (lo + hi)
+    amp = g2n * shifted / divisor**2
+    amps = (amp,) if compromise is None else (amp, levels * amp)
+    phase = 2.0 * omega * centre
+    cos, sin = np.cos(phase), np.sin(phase)
+    columns = np.array([col for b in amps for col in (b * cos, b * sin, b)])
+    sums = _taylor_table(params, kind) @ columns.T
+    coeffs = _COS_SIGN[:, None] * sums[:-1, 0::3] + _SIN_SIGN[:, None] * sums[:-1, 1::3]
+    horner = coeffs[:0:-1].tolist()  # rows c_k .. c_1, one column per amplitude
+    moments = sums[:, 2::3].T.tolist()  # S_0 .. S_{K+1} per amplitude
+    growth = math.exp(x)
+    depth = _pairwise_depth(n)
+    coefficient_units = 6 + 2 * k + 2 * _FUNCTION_ULPS + n + 1
+    point = [0.5 * s[k + 1] * half_width ** (k + 1)
+             + (2 * k + 1) * u * 0.5 * s[0] * (growth - 1.0)
+             + u * half_width * 0.5 * s[1] * growth
+             + u * (0.5 * hi * s[1] + (6 + 4 * _FUNCTION_ULPS + depth) * s[0]) for s in moments]
+    if compromise is None:
+        fixed = _SAFETY * point[0] + 0.5 * _GAP_FLOOR
+        s = moments[0]
+        per_width = _SAFETY * u * growth * (0.5 * coefficient_units * s[1] + centre * s[2])
+        poly = [row[0] for row in horner]
+
+        def model(tau):
+            t = tau - centre
+            value = 0.0
+            for ck in poly:
+                value = value * t + ck
+            return value * t, fixed
+
+        return model, per_width
+    starts = [0.5 * float(np.add.reduce(b - columns[3 * j])) for j, b in enumerate(amps)]
+    errors = [e + 0.5 * u * (centre * s[1] + (2 * _FUNCTION_ULPS + 16) * s[0]) + (depth + 1) * u * s[0]
+              + 0.5 * u * (growth - 1.0) * (coefficient_units * s[0] + centre * s[1]) + _GAP_FLOOR
+              for e, s in zip(point, moments)]
+    return _compromise_model(compromise, centre, starts, horner, errors), 0.0
+
+
+def _compromise_model(compromise: _Compromise, centre: float, starts: list, horner: list, errors: list):
+    """``model(tau)`` of ``_interval_model`` for the compromise score: P and
+    M from their values ``starts`` at the centre and their coefficients
+    ``horner`` (rows c_k .. c_1 of P and M), and ``errors``, the bounds dP
+    and dM on the error of P and M at any point, model and exact point
+    together.
+
+    With P_lo = P - dP and M_lo = M - dM both > 0, the log ratio is off by
+    at most dL = dP / P_lo + dM / M_lo and exp(x w P) by at most E |x w|
+    dP, with E = exp(x w P + |x w| dP); the two evaluations of the score
+    round exp, log, the ratio and the products by at most u (4 + (36 + 4
+    |x w| (P + dP)) |log r|) E / log x. A point whose P or M could be 0
+    gets an infinite bound.
+    """
+    (p_start, m_start), (d_prob, d_moment) = starts, errors
+    wx, mean, log_x = compromise.x * compromise.weight, compromise.mean, float(compromise.log_x)
+
+    def model(tau):
+        t = tau - centre
+        vp = vm = 0.0
+        for cp, cm in horner:
+            vp = vp * t + cp
+            vm = vm * t + cm
+        prob, moment = p_start + vp * t, m_start + vm * t
+        low_p, low_m, exponent = prob - d_prob, moment - d_moment, wx * prob + abs(wx) * d_prob
+        if not (low_p > 0.0 and low_m > 0.0 and exponent < 700.0):
+            return 0.0, math.inf
+        log_ratio = math.log(moment / prob / mean)
+        d_log = d_prob / low_p + d_moment / low_m
+        rounding = _UNIT * (4.0 + (36.0 + 4.0 * abs(wx) * (prob + d_prob)) * abs(log_ratio))
+        bound = math.exp(exponent) / log_x * (abs(wx) * d_prob * (abs(log_ratio) + d_log) + d_log + rounding)
+        return math.exp(wx * prob) * log_ratio / log_x, _SAFETY * bound
+
+    return model
 
 
 def _interval_chooser(policy: str, scheme: str, params: SystemParams, n_rounds: int,

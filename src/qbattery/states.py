@@ -131,14 +131,19 @@ class BatteryState:
         p = np.asarray(self.populations, dtype=float)
         if p.ndim != 1 or p.size < 2:
             raise ValueError("populations must be a vector of length >= 2")
-        if p.min() < NEGATIVE_DUST:
+        low, total = p.min(), p.sum()
+        if low < NEGATIVE_DUST:
             raise ValueError(
-                f"population {p.min():.3e} below the {NEGATIVE_DUST} dust threshold"
+                f"population {low:.3e} below the {NEGATIVE_DUST} dust threshold"
             )
-        if abs(p.sum() - 1.0) > 1e-9:
-            raise ValueError(f"populations sum to {p.sum()!r}, not 1")
-        p = np.clip(p, 0.0, None)
-        p = p / p.sum()
+        if abs(total - 1.0) > 1e-9:
+            raise ValueError(f"populations sum to {total!r}, not 1")
+        if low <= 0.0:
+            # clamp the dust, and write -0.0 as 0.0
+            p = np.maximum(p, 0.0)
+            if low < 0.0:
+                total = p.sum()
+        p = p / total
         p.flags.writeable = False
         object.__setattr__(self, "populations", p)
         object.__setattr__(self, "spectrum", p)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -18,7 +19,7 @@ from qbattery import (
     tau_opt_power_off,
     thermal_state,
 )
-from qbattery.scheduler import power_off_objective
+from qbattery.scheduler import OBJECTIVES, power_off_objective
 
 WARM = SystemParams(n_levels=100, g=0.04, delta=0.02, beta=0.05)
 RESONANT = SystemParams(n_levels=100, g=0.04, delta=0.0)
@@ -311,11 +312,36 @@ def test_sample_protocol_raises_past_max_attempts(monkeypatch, round_probability
         sample_protocol(state, params, "power_on", 2, seed=0, max_attempts=2)
 
 
+GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_walk(f, lo, hi, comparisons=None):
+    """Golden-section search on [lo, hi] comparing exact values of ``f``
+    only, the search the refinement must reproduce; each comparison
+    (c, d, f(c) > f(d)) is appended to ``comparisons``."""
+    a, b = lo, hi
+    c = b - GOLDEN * (b - a)
+    d = a + GOLDEN * (b - a)
+    fc, fd = f(c), f(d)
+    scale = max(abs(lo), abs(hi), 1e-12)
+    while (b - a) > 1e-6 * scale:
+        if comparisons is not None:
+            comparisons.append((c, d, fc > fd))
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - GOLDEN * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + GOLDEN * (b - a)
+            fd = f(d)
+    return 0.5 * (a + b)
+
+
 def _fresh_tau(state, params, scheme, tau_max, grid_points, cumulative=1.0, objective="per_round"):
     """The optimizers' interval, scored from weights built afresh by
-    ``_map_weights`` on every call rather than from the cached grid."""
-    from qbattery.scheduler import _golden_max
-
+    ``_map_weights`` on every call rather than from the cached grid, and
+    refined by the exact golden-section search."""
     if scheme == "power_on":
         f = lambda t: round_probability(state, params, scheme, t)
     else:
@@ -327,7 +353,7 @@ def _fresh_tau(state, params, scheme, tau_max, grid_points, cumulative=1.0, obje
     i = int(values.argmax())
     lo = taus[i - 1] if i > 0 else taus[i] / 2.0
     hi = taus[i + 1] if i + 1 < taus.size else taus[i]
-    return _golden_max(f, lo, hi, 1e-6)
+    return _golden_walk(f, lo, hi)
 
 
 def _optimized_tau(state, params, scheme, tau_max, grid_points, cumulative=1.0, objective="per_round"):
@@ -404,33 +430,32 @@ def test_warm_optimization_allocates_no_grid(optimize):
 def test_refinement_prepares_each_state_once(monkeypatch):
     # the populations are shifted once per call, for the grid and the
     # refinement alike, and the ladder is looked up once, not once per
-    # golden-section point: the counts stay put while the number of points
-    # changes with the grid
+    # exact point; the Taylor model leaves the default grid's probability
+    # refinement a few exact points, and the coarse grid, where the model
+    # is refused, and the compromise score compare exact points throughout
     import qbattery.propagator as propagator
     import qbattery.scheduler as scheduler
 
     counts = {"shifts": 0, "points": 0}
-    original_shifted, original_golden = propagator._shifted, scheduler._golden_max
+    original_shifted, original_weights = propagator._shifted, scheduler._ladder_weights
 
     def counted_shifted(*args):
         counts["shifts"] += 1
         return original_shifted(*args)
 
-    def counted_golden(f, lo, hi, *args):
-        def point(tau):
-            counts["points"] += 1
-            return f(tau)
-        return original_golden(point, lo, hi, *args)
+    def counted_weights(*args):
+        counts["points"] += 1
+        return original_weights(*args)
 
     for module in (propagator, scheduler):
         monkeypatch.setattr(module, "_shifted", counted_shifted)
-    monkeypatch.setattr(scheduler, "_golden_max", counted_golden)
+    monkeypatch.setattr(scheduler, "_ladder_weights", counted_weights)
     state = thermal_state(WARM)
-    for optimize in (
-        lambda tau_max, points: tau_opt_numeric(state, WARM, "power_on", tau_max, points),
-        lambda tau_max, points: tau_opt_power_off(state, WARM, tau_max=tau_max, grid_points=points),
+    for name, optimize in (
+        ("numeric", lambda tau_max, points: tau_opt_numeric(state, WARM, "power_on", tau_max, points)),
+        ("compromise", lambda tau_max, points: tau_opt_power_off(state, WARM, tau_max=tau_max, grid_points=points)),
     ):
-        seen = set()
+        points = {}
         for grid in ((None, 400), (150.0, 37)):
             optimize(*grid)  # fills the grid cache
             ladder = propagator._ladder.cache_info()
@@ -438,10 +463,103 @@ def test_refinement_prepares_each_state_once(monkeypatch):
             optimize(*grid)
             after = propagator._ladder.cache_info()
             lookups = after.hits + after.misses - ladder.hits - ladder.misses
-            assert counts["points"] > 10
             assert (lookups, counts["shifts"]) == (1, 1)
-            seen.add(counts["points"])
-        assert len(seen) == 2
+            points[grid] = counts["points"]
+        assert points[(None, 400)] <= 6, name
+        assert points[(150.0, 37)] > 10, name
+
+
+def _seeded_states(params, rng):
+    """Thermal states at three temperatures, the Fock states 1, 3 and N/2,
+    whose periodic probabilities give exact ties, and two random states."""
+    thermal = [thermal_state(dataclasses.replace(params, beta=beta)) for beta in (0.1, 0.05, math.inf)]
+    fock = [fock_state(k, params.n_levels) for k in (1, 3, params.n_levels // 2)]
+    return thermal + fock + [BatteryState.diagonal(rng.dirichlet(np.ones(params.dim))) for _ in range(2)]
+
+
+@pytest.mark.parametrize("n_levels", [5, 30, 100, 400])
+def test_every_model_decision_matches_the_exact_comparison(monkeypatch, n_levels):
+    # each refinement is run twice: by the exact golden-section walk, whose
+    # every comparison the model must reproduce wherever its bound lets it
+    # decide, and by the certified search, which must return the same
+    # interval while scoring only a few exact points
+    import qbattery.scheduler as scheduler
+
+    original = scheduler._golden_max
+    evaluations, decided, compared = {"numeric": [], "compromise": []}, [0], [0]
+    objective = ["numeric"]
+
+    def checked(lo, hi, exact, model=None, per_width=0.0):
+        assert model is not None
+        comparisons = []
+        tau = _golden_walk(exact, lo, hi, comparisons)
+        for c, d, c_wins in comparisons:
+            (fc, ec), (fd, ed) = model(c), model(d)
+            if abs(fc - fd) > ec + ed + per_width * abs(d - c):
+                decided[0] += 1
+                assert (fc > fd) == c_wins, (lo, hi, c, d)
+        compared[0] += len(comparisons)
+        points = []
+        assert original(lo, hi, lambda t: points.append(t) or exact(t), model, per_width) == tau
+        evaluations[objective[0]].append(len(points))
+        return tau
+
+    monkeypatch.setattr(scheduler, "_golden_max", checked)
+    rng = np.random.default_rng(n_levels)
+    for delta in (0.0, 0.02):
+        params = SystemParams(n_levels=n_levels, g=0.04, delta=delta)
+        for state in _seeded_states(params, rng):
+            objective[0] = "numeric"
+            assert tau_opt_numeric(state, params) == _fresh_tau(state, params, "power_on", None, 400)
+            tau_opt_numeric(state, params, "power_off")  # checked against the exact walk alone
+            objective[0] = "compromise"
+            for name in OBJECTIVES:
+                case = (state, params, "power_off", None, 400, 0.5, name)
+                assert _optimized_tau(*case) == _fresh_tau(*case)
+    assert decided[0] > 0.8 * compared[0]
+    # an exact-tie state costs up to 16 points; a refinement of the exact search scores 26
+    assert np.mean(evaluations["numeric"]) <= 3.0
+    assert np.mean(evaluations["compromise"]) <= 5.0
+
+
+@pytest.mark.parametrize("tiny", [5e-324, 1e-310, 1e-300])
+def test_subnormal_populations_refine_as_the_exact_search(tiny):
+    # populations near and below the smallest normal float, where rounding
+    # errors are absolute rather than relative, still refine to the exact
+    # search's interval
+    params = SystemParams(n_levels=30, g=0.04, delta=0.02)
+    for level in (1, 3):
+        populations = np.zeros(params.dim)
+        populations[[0, level]] = 1.0, tiny
+        state = BatteryState.diagonal(populations)
+        for scheme, objective in (("power_on", "per_round"), ("power_off", "per_round"), ("power_off", "cumulative")):
+            case = (state, params, scheme, None, 400, 0.5, objective)
+            with np.errstate(over="ignore"):
+                assert _optimized_tau(*case) == _fresh_tau(*case)
+
+
+@pytest.mark.parametrize("scheme", ["power_on", "power_off"])
+def test_coarse_grid_refuses_the_model(monkeypatch, scheme):
+    # on grid (150, 37) the bracket's half width h gives x = 2 O_N h > 1,
+    # where the Taylor model is refused and every comparison is exact
+    import qbattery.scheduler as scheduler
+
+    original, models = scheduler._golden_max, []
+
+    def recorded(lo, hi, exact, model=None, per_width=0.0):
+        models.append(model)
+        return original(lo, hi, exact, model, per_width)
+
+    monkeypatch.setattr(scheduler, "_golden_max", recorded)
+    state = thermal_state(WARM)
+    for grid in ((150.0, 37), (None, 400)):
+        models.clear()
+        if scheme == "power_on":
+            assert tau_opt_numeric(state, WARM, scheme, *grid) == _fresh_tau(state, WARM, scheme, *grid)
+        else:
+            assert tau_opt_power_off(state, WARM, tau_max=grid[0], grid_points=grid[1]) == _fresh_tau(
+                state, WARM, scheme, *grid)
+        assert (models[0] is None) == (grid == (150.0, 37))
 
 
 def test_cached_arrays_are_read_only():

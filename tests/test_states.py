@@ -188,6 +188,20 @@ def test_battery_state_validation():
     assert abs(state.populations.sum() - 1.0) <= SUM_ATOL
 
 
+@pytest.mark.parametrize("populations", [
+    [1.0 + 1e-15, -1e-15], [-0.0, 0.25, 0.75], [0.5, -0.0, 0.5], [0.3, 0.7], [-1e-15, 0.0, -0.0, 1.0 + 1e-15],
+])
+def test_battery_state_normalizes_like_clipping(populations):
+    # the populations are those of np.clip and a fresh sum, bit for bit:
+    # dust and -0.0 become +0.0, and the caller's array is left writable
+    given = np.array(populations)
+    clipped = np.clip(given, 0.0, None)
+    state = BatteryState.diagonal(given)
+    assert state.populations.tobytes() == (clipped / clipped.sum()).tobytes()
+    assert not np.signbit(state.populations).any()
+    assert given.flags.writeable
+
+
 def test_battery_state_is_immutable():
     state = fock_state(1, 5)
     with pytest.raises(ValueError):
