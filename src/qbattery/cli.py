@@ -106,8 +106,9 @@ class ConfigError(SettingError):
     """A mistake in the config file or the ``--set`` overrides."""
 
 
-def _merge(base: dict, override: dict, path: str = "") -> dict:
+def _merge(base: dict, override: dict, path: str = "", defaults: dict = _BASE_CONFIG) -> dict:
     """``base`` with ``override`` merged in table by table, each value
+    kind-checked against ``defaults``, its table of ``_BASE_CONFIG``, and
     copied once, so the result shares no list or table with either."""
     merged = {}
     for key, value in override.items():
@@ -117,8 +118,9 @@ def _merge(base: dict, override: dict, path: str = "") -> dict:
         if isinstance(base[key], dict):
             if not isinstance(value, dict):
                 raise ConfigError(f"{where!r} must be a table")
-            merged[key] = _merge(base[key], value, where)
+            merged[key] = _merge(base[key], value, where, defaults[key])
         else:
+            _check_kind(value, defaults[key], where)
             merged[key] = copy.deepcopy(value)
     return {key: merged[key] if key in merged else copy.deepcopy(value) for key, value in base.items()}
 
@@ -131,17 +133,22 @@ def _apply_set(config: dict, assignment: str) -> None:
         value = json.loads(raw)
     except json.JSONDecodeError:
         value = raw
-    node = config
+    node, defaults = config, _BASE_CONFIG
     parts = key.split(".")
     for part in parts[:-1]:
         if part not in node or not isinstance(node[part], dict):
             raise ConfigError(f"unknown config key {key!r}")
-        node = node[part]
-    if parts[-1] not in node:
+        node, defaults = node[part], defaults[part]
+    last = parts[-1]
+    if last not in node:
         raise ConfigError(f"unknown config key {key!r}")
-    if isinstance(value, dict) and isinstance(node[parts[-1]], dict):
-        value = _merge(node[parts[-1]], value, key)
-    node[parts[-1]] = value
+    if isinstance(node[last], dict):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{key!r} must be a table")
+        value = _merge(node[last], value, key, defaults[last])
+    else:
+        _check_kind(value, defaults[last], key)
+    node[last] = value
 
 
 def _fits(value, default) -> bool:
@@ -158,25 +165,18 @@ def _fits(value, default) -> bool:
 _KINDS = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
 
 
-def _check_kinds(config: dict, base: dict, path: str = "") -> None:
-    """Every value of ``config`` is of the kind of its ``base`` default."""
-    for key, default in base.items():
-        value = config[key]
-        if type(value) is type(default) and type(default) not in (dict, list):
-            continue  # most values: a number, string or flag as in the default
-        where = f"{path}.{key}" if path else key
-        if isinstance(default, dict):
-            if not isinstance(value, dict):
-                raise ConfigError(f"{where!r} must be a table")
-            _check_kinds(value, default, where)
-            continue
-        if default is None:  # optional: None, else a path for output_path and a number elsewhere
-            if value is None:
-                continue
-            default = "" if where == "output_path" else 0.0
-        if not (_fits(value, default) or (where == "params.beta" and value in ("inf", "Infinity"))):
-            kind = f"a list, each {_KINDS[type(default[0])]}" if isinstance(default, list) else _KINDS[type(default)]
-            raise ConfigError(f"{where} must be {kind}, got {value!r}")
+def _check_kind(value, default, where: str) -> None:
+    """``value``, set at config key ``where``, is of the kind of its
+    ``_BASE_CONFIG`` default ``default``, which is not a table."""
+    if type(value) is type(default) and type(default) is not list:
+        return  # most values: a number, string or flag as in the default
+    if default is None:  # optional: None, else a path for output_path and a number elsewhere
+        if value is None:
+            return
+        default = "" if where == "output_path" else 0.0
+    if not (_fits(value, default) or (where == "params.beta" and value in ("inf", "Infinity"))):
+        kind = f"a list, each {_KINDS[type(default[0])]}" if isinstance(default, list) else _KINDS[type(default)]
+        raise ConfigError(f"{where} must be {kind}, got {value!r}")
 
 
 def load_config(experiment: str, config_path: str | None, sets: list[str]) -> dict:
@@ -194,7 +194,6 @@ def load_config(experiment: str, config_path: str | None, sets: list[str]) -> di
         config = _merge(config, user)
     for assignment in sets:
         _apply_set(config, assignment)
-    _check_kinds(config, _BASE_CONFIG)
     return config
 
 
@@ -241,14 +240,6 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_lines(path: Path, header: list[str], lines) -> None:
-    """The schema line, ``header`` and the already rendered ``lines``."""
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# schema={SCHEMA_VERSION}\n")
-        fh.write(",".join(header) + "\n")
-        fh.writelines(lines)
-
-
 def _cells(values) -> list[str]:
     """``_fmt`` of each value, a float's repr taken directly; pass an
     array's ``tolist()``."""
@@ -257,8 +248,12 @@ def _cells(values) -> list[str]:
 
 def write_csv(path: Path, header: list[str], columns) -> None:
     """The schema line, ``header`` and one row per cell of ``columns``,
-    equal-length lists of cells each rendered once (see ``_cells``)."""
-    _write_lines(path, header, (",".join(row) + "\n" for row in zip(*columns)))
+    equal-length lists of cells each rendered once (see ``_cells``). Every
+    CSV the commands write passes through here."""
+    with open(path, "w", newline="") as fh:
+        fh.write(f"# schema={SCHEMA_VERSION}\n")
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*columns))
 
 
 def _check_counts(sweep: dict, *keys: str) -> None:
@@ -286,12 +281,11 @@ def cmd_sweep_theta_q(config: dict, out: Path) -> None:
         raise ConfigError(f"sweep.tau must be finite and >= 0, got {tau}")
     c, theta, q = (grid.ravel() for grid in np.meshgrid(c_values, thetas, qs, indexing="ij"))
     ratio = _mean_ratios(thermal_state(params).populations, params, tau, q, theta, c)
-    # Each axis is rendered once, with the repr that _fmt gives a float,
-    # and the rows are joined in the meshgrid's (c, theta, q) order.
-    theta_text, q_text, c_text = ([repr(v) for v in axis.tolist()] for axis in (thetas, qs, c_values))
-    points = [f"{t},{qv},{cv}," for cv in c_text for t in theta_text for qv in q_text]
-    _write_lines(out, ["theta", "q", "c", "ratio"],
-                 (f"{point}{r!r}\n" for point, r in zip(points, ratio.tolist())))
+    # each axis is rendered once and repeated in the meshgrid's (c, theta, q) order
+    theta_text, q_text, c_text = (_cells(axis.tolist()) for axis in (thetas, qs, c_values))
+    columns = ([t for t in theta_text for _ in q_text] * len(c_text), q_text * (len(c_text) * len(theta_text)),
+               [cv for cv in c_text for _ in range(len(theta_text) * len(q_text))], _cells(ratio.tolist()))
+    write_csv(out, ["theta", "q", "c", "ratio"], columns)
 
 
 def cmd_interval_sweep(config: dict, out: Path) -> None:

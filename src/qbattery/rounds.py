@@ -81,19 +81,13 @@ def _kind(scheme: str) -> str:
     return _NAMED_SCHEMES[scheme].kind
 
 
-def _named_populations(populations: np.ndarray, params: SystemParams, tau, scheme: str) -> np.ndarray:
-    """Unnormalized populations after a power-on or power-off round; a
-    1-D array of intervals adds a leading axis."""
-    kind = _kind(scheme)
-    return _diagonal_map(kind, _map_weights(params, tau, kind), populations)
-
-
 def _named_round(state: BatteryState, params: SystemParams, tau: float, scheme: str) -> RoundRecord:
     if not state.is_diagonal:
         raise ValueError(f"{scheme}_round requires a diagonal state")
     if state.populations.size != params.dim:
         raise ValueError("state and params disagree on the ladder size")
-    out = _named_populations(state.populations, params, tau, scheme)
+    kind = _kind(scheme)
+    out = _diagonal_map(kind, _map_weights(params, tau, kind), state.populations)
     prob = float(out.sum())
     if prob < ZERO_PROBABILITY_ATOL:
         raise ZeroProbabilityError(f"{_NAMED_SCHEMES[scheme].outcome} outcome has probability {prob:.3e}")

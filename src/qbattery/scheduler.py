@@ -28,9 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .propagator import ZeroProbabilityError, _kind_ladder, _ladder_weights, _map_weights, _shifted
-from .rounds import (RoundRecord, _kind, _named_populations, _scheme_charger, general_round, power_off_round,
-                     power_on_round)
+from .propagator import (ZeroProbabilityError, _check_interval, _kind_ladder, _ladder_weights, _map_weights,
+                         _shifted)
+from .rounds import RoundRecord, _kind, _scheme_charger, general_round, power_off_round, power_on_round
 from .states import BatteryState, ChargerSpec, SettingError, SystemParams, mean_occupation
 from .thermo import energy, snapshot
 
@@ -39,6 +39,7 @@ DAMPED_POLICIES = ("analytic", "fixed", "schedule")
 OBJECTIVES = ("per_round", "cumulative")
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+GOLDEN_REL_TOL = 1e-6  # the refinement stops at this width relative to the bracket's far end
 
 
 class NoChargingError(RuntimeError):
@@ -88,7 +89,7 @@ class Trajectory:
         return np.array([e0] + [r.thermo.energy for r in self.rounds])
 
 
-def _golden_max(lo: float, hi: float, exact, model=None, per_width: float = 0.0, rel_tol: float = 1e-6) -> float:
+def _golden_max(lo: float, hi: float, exact, model=None, per_width: float = 0.0) -> float:
     """Golden-section maximization of a unimodal scalar function ``exact``
     on [lo, hi].
 
@@ -115,7 +116,7 @@ def _golden_max(lo: float, hi: float, exact, model=None, per_width: float = 0.0,
     d = a + GOLDEN * (b - a)
     (fc, ec), (fd, ed) = point(c), point(d)
     scale = max(abs(lo), abs(hi), 1e-12)
-    while (b - a) > rel_tol * scale:
+    while (b - a) > GOLDEN_REL_TOL * scale:
         if model is None or abs(fc - fd) > ec + ed + per_width * abs(d - c):
             c_wins = fc > fd
         else:
@@ -170,7 +171,9 @@ def round_probability(
 
     A 1-D array of intervals gives one probability per interval.
     """
-    prob = _named_populations(state.populations, params, tau, scheme).sum(axis=-1)
+    kind = _kind(scheme)
+    _check_interval(tau)
+    prob = _scores(params, kind, _kind_ladder(params, kind), _shifted(kind, state.populations), tau)
     return float(prob) if prob.ndim == 0 else prob
 
 
@@ -218,16 +221,18 @@ def power_off_objective(
     including it. Positive only for intervals that actually charge. A
     1-D array of intervals gives one value per interval.
     """
-    out = _named_populations(state.populations, params, tau, "power_off")
-    moments = _row_moments(out, np.arange(state.populations.size))
+    kind = _kind("power_off")
+    _check_interval(tau)
+    ladder, shifted = _kind_ladder(params, kind), _shifted(kind, state.populations)
+    score = _compromise(state, cumulative_p, x, objective)
     with np.errstate(divide="ignore", invalid="ignore"):
-        value = _compromise(state, cumulative_p, x, objective)(*moments)
+        value = _scores(params, kind, ladder, shifted, tau, score)
     return float(value) if value.ndim == 0 else value
 
 
 def _check_compromise(x: float, objective: str) -> None:
-    if x <= 1.0:
-        raise SettingError(f"the balance index x must exceed 1, got {x}")
+    if not (math.isfinite(x) and x > 1.0):
+        raise SettingError(f"the balance index x must be finite and exceed 1, got {x}")
     if objective not in OBJECTIVES:
         raise SettingError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
 
@@ -240,7 +245,9 @@ class _Compromise:
     cumulative probability before the round for the cumulative objective
     and 1 for the per-round one. The mean and log x are fixed for the
     state, so they are prepared once for all the intervals an optimization
-    scores; call it under ``np.errstate(divide="ignore", invalid="ignore")``."""
+    scores. ``_scores`` applies it to the exact sums of one interval or of
+    many, and ``tau_opt_power_off`` to the grid's; call it under
+    ``np.errstate(divide="ignore", invalid="ignore")``."""
 
     weight: float
     x: float
@@ -260,14 +267,21 @@ def _compromise(state: BatteryState, cumulative_p: float, x: float, objective: s
     return _Compromise(cumulative_p if objective == "cumulative" else 1.0, x, mean_occupation(state), np.log(x))
 
 
-def _row_moments(out: np.ndarray, levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Probability and unnormalized first moment of the post-round
-    populations ``out`` on ``levels`` as row sums, overwriting ``out``:
-    the order in which a single interval is scored, so that
-    ``power_off_objective`` and the refinement agree bit for bit."""
+def _scores(params: SystemParams, kind: str, ladder: tuple, shifted: np.ndarray, tau,
+            compromise: _Compromise | None = None):
+    """The exact score behind ``round_probability``, ``power_off_objective``
+    and the refinement: the probability after the map of ``kind``, the
+    row sum of ``_ladder_weights`` times the ``_shifted`` populations
+    ``shifted``, or given ``compromise`` that score of the probability and
+    the first moment. The interval is the caller's to check; a 1-D array
+    of intervals gives one score per interval."""
+    out = _ladder_weights(params, ladder, tau, kind)
+    out *= shifted
     prob = out.sum(axis=-1)
-    out *= levels
-    return prob, out.sum(axis=-1)
+    if compromise is None:
+        return prob
+    out *= np.arange(shifted.size)
+    return compromise(prob, out.sum(axis=-1))
 
 
 def tau_opt_power_off(
@@ -304,32 +318,24 @@ def tau_opt_power_off(
 def _refine(params: SystemParams, kind: str, shifted: np.ndarray, taus: np.ndarray, i: int,
             compromise: _Compromise | None = None) -> float:
     """Golden-section refinement of grid point ``i`` between its two
-    neighbors. It maximizes the probability after the map of ``kind`` on
-    the ``_shifted`` populations ``shifted`` or, given ``compromise``, that
-    score of the probability and first moment.
+    neighbors. It maximizes the ``_scores`` of ``kind`` on the ``_shifted``
+    populations ``shifted``: the probability or, given ``compromise``,
+    that score of the probability and first moment.
 
     The ladder does not depend on the interval, so it is looked up once.
-    An exact point runs the ufuncs of ``_map_weights`` and
-    ``_diagonal_map`` and a row sum, and scores bit for bit the value that
-    ``round_probability`` or ``power_off_objective`` returns. The bracket
-    lies inside the checked grid, so the points skip the interval check.
-    Comparisons are decided from the certified Taylor model of
-    ``_interval_model`` where it can, so most refinements score only a
-    few exact points; the returned interval is the exact search's.
+    An exact point is ``_scores`` itself, the function behind
+    ``round_probability`` and ``power_off_objective``, so it scores their
+    value bit for bit. The bracket lies inside the checked grid, so the
+    points skip the interval check. Comparisons are decided from the
+    certified Taylor model of ``_interval_model`` where it can, so most
+    refinements score only a few exact points; the returned interval is
+    the exact search's.
     """
     lo = float(taus[i - 1] if i > 0 else taus[i] / 2.0)
     hi = float(taus[i + 1] if i + 1 < taus.size else taus[i])
     ladder = _kind_ladder(params, kind)
-    levels = np.arange(shifted.size)
-
-    def at(tau):
-        out = _ladder_weights(params, ladder, tau, kind)
-        out *= shifted
-        if compromise is None:
-            return np.add.reduce(out)
-        return compromise(*_row_moments(out, levels))
-
-    return _golden_max(lo, hi, at, *_interval_model(params, kind, ladder, shifted, levels, lo, hi, compromise))
+    exact = functools.partial(_scores, params, kind, ladder, shifted, compromise=compromise)
+    return _golden_max(lo, hi, exact, *_interval_model(params, kind, ladder, shifted, lo, hi, compromise))
 
 
 # The refinement's Taylor models: their degree K, the accuracy
@@ -373,8 +379,8 @@ def _pairwise_depth(n: int) -> int:
     return 27 + max(0, math.ceil(math.log2(n / 128.0)) + 1)
 
 
-def _interval_model(params: SystemParams, kind: str, ladder: tuple, shifted: np.ndarray, levels: np.ndarray,
-                    lo: float, hi: float, compromise: _Compromise | None):
+def _interval_model(params: SystemParams, kind: str, ladder: tuple, shifted: np.ndarray, lo: float, hi: float,
+                    compromise: _Compromise | None):
     """``(model, per_width)`` for ``_golden_max``: the refinement's score
     from Taylor models about the bracket centre tau0, with error bounds
     that also cover the exact points' own errors. No model, and every
@@ -426,7 +432,7 @@ def _interval_model(params: SystemParams, kind: str, ladder: tuple, shifted: np.
     k, n, u = TAYLOR_DEGREE, shifted.size, _UNIT
     centre = 0.5 * (lo + hi)
     amp = g2n * shifted / divisor**2
-    amps = (amp,) if compromise is None else (amp, levels * amp)
+    amps = (amp,) if compromise is None else (amp, np.arange(n) * amp)
     phase = 2.0 * omega * centre
     cos, sin = np.cos(phase), np.sin(phase)
     columns = np.array([col for b in amps for col in (b * cos, b * sin, b)])

@@ -13,8 +13,9 @@ from dataclasses import KW_ONLY, InitVar, dataclass, field
 
 import numpy as np
 
-# Tolerances shared across the package.
-SUM_ATOL = 1e-12          # stored populations sum to 1 this tightly; inputs within 1e-9 are renormalized
+# Tolerances shared across the package. Each check is phrased so that NaN fails it.
+SUM_ATOL = 1e-12          # stored populations sum to 1 this tightly
+INPUT_SUM_ATOL = 1e-9     # input populations summing to 1 within this are renormalized
 NEGATIVE_DUST = -1e-14    # rounding dust below zero that gets clamped
 PSD_ATOL = 1e-10          # smallest-eigenvalue tolerance for general states
 HERM_ATOL = 1e-10         # Hermiticity tolerance when ingesting matrices
@@ -136,7 +137,7 @@ class BatteryState:
             raise ValueError(
                 f"population {low:.3e} below the {NEGATIVE_DUST} dust threshold"
             )
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= INPUT_SUM_ATOL:  # also a NaN or infinite population
             raise ValueError(f"populations sum to {total!r}, not 1")
         if low <= 0.0:
             # clamp the dust, and write -0.0 as 0.0
@@ -159,7 +160,7 @@ class BatteryState:
             spectrum = np.linalg.eigvalsh(self.matrix) if _spectrum is None else _spectrum
             spectrum.flags.writeable = False
             object.__setattr__(self, "spectrum", spectrum)
-            if spectrum.min() < -PSD_ATOL:
+            if not spectrum.min() >= -PSD_ATOL:
                 raise ValueError(f"state is not positive semidefinite (min eig {spectrum.min():.3e})")
 
     @classmethod
@@ -181,7 +182,7 @@ class BatteryState:
         """
         rho = np.asarray(rho, dtype=complex)
         drift = np.abs(rho - rho.conj().T).max()
-        if drift > HERM_ATOL:
+        if not drift <= HERM_ATOL:
             raise ValueError(f"matrix is not Hermitian within {HERM_ATOL} (drift {drift:.3e})")
         rho = 0.5 * (rho + rho.conj().T)
         pops = np.real(np.diag(rho))
@@ -190,7 +191,7 @@ class BatteryState:
         spectrum = None
         if clip > 0.0:
             spectrum, vecs = (pops, None) if diagonal else np.linalg.eigh(rho)
-            if spectrum.min() < -clip:
+            if not spectrum.min() >= -clip:
                 raise ValueError(
                     f"eigenvalue {spectrum.min():.3e} below the -{clip} clipping threshold"
                 )
@@ -304,7 +305,7 @@ def gaussian_reference(mean: float, variance: float, n_levels: int) -> BatterySt
     The targets are not re-fitted: truncation can shift the realized
     moments, which callers should read back off the returned state.
     """
-    if variance <= 0.0:
+    if not variance > 0.0:
         raise ValueError(f"variance must be > 0, got {variance}")
     if not 0.0 <= mean <= n_levels:
         raise ValueError(f"mean {mean} outside the ladder 0..{n_levels}")

@@ -517,11 +517,14 @@ def test_invalid_interval_settings_fail_the_run(tmp_path, capsys, command, sets,
     ("lindblad", "schedule.scheme=bogus", "scheme must be one of"),
     ("lindblad", "schedule.policy=numeric", "policy must be one of"),
     ("power_off", "schedule.objective=bogus", "objective must be one of"),
+    ("power_off", "schedule.x=NaN", "the balance index x must be finite and exceed 1"),
+    ("power_off", "schedule.x=Infinity", "the balance index x must be finite and exceed 1"),
     ("lindblad", "schedule.policy=power_off_compromise", "the compromise objective applies to the power_off scheme"),
 ])
 def test_invalid_schedule_is_a_config_error(tmp_path, capsys, command, assignment, message):
-    # the first six used to exit 3, the objective typo to exit 0 and the
-    # damped compromise of a power_on run to run power_off instead
+    # the first six and a non-finite balance index used to exit 3, the
+    # objective typo to exit 0 and the damped compromise of a power_on run
+    # to run power_off instead
     argv = [command, "--out", str(tmp_path / "x.csv"), "--set", "params.n_levels=8", "--set", assignment]
     assert main(argv) == 1
     assert f"config error: {message}" in capsys.readouterr().err
@@ -633,6 +636,53 @@ def test_closed_system_run_loads_no_scipy(tmp_path):
         "code": 0, "scipy_after_run": [], "listed": True, "scipy_after_dir": [],
         "served": True, "sparse_loaded": True, "star": True,
     }
+
+
+# The closed-system commands at N = 100, where the 400 x 101 grid product
+# of the interval optimizer is large enough for OpenBLAS to thread. The
+# damped lindblad command is left out: its bytes do depend on the thread
+# count (CHANGES.md line 48, a FOUND line; ROADMAP item 9).
+_THREADED_CALLS = [
+    ("sweep", "sweep_theta_q", ["sweep.theta_points=5", "sweep.q_points=4"]),
+    ("interval", "interval_sweep", ["sweep.tau_points=20", "sweep.m_values=[1,3]"]),
+    ("numeric", "power_on", ["schedule.policy=numeric", "schedule.n_rounds=3", "schedule.histogram_at=[0,3]"]),
+    ("compromise", "power_off", ["schedule.n_rounds=3", "schedule.histogram_at=[0,3]"]),
+    ("coherent", "histograms", ["schedule.scheme=general", "schedule.policy=fixed", "schedule.fixed_tau=8.0",
+                                "charger.q=0.3", "charger.theta=1.2", "charger.c=1.0", "schedule.n_rounds=3",
+                                "schedule.histogram_at=[0,3]"]),
+]
+
+_THREADED_RUN = """
+import json, sys
+from pathlib import Path
+import qbattery.cli
+out = Path(sys.argv[1])
+for label, command, sets in json.loads(sys.argv[2]):
+    argv = [command, "--out", str(out / f"{label}.csv")]
+    for assignment in sets:
+        argv += ["--set", assignment]
+    assert qbattery.cli.main(argv) == 0, label
+"""
+
+
+def test_closed_system_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # the grid's weights @ columns and the refinement's Taylor table @
+    # columns are BLAS products; their sums must not change with the
+    # number of threads that split them
+    import qbattery
+
+    src = str(Path(qbattery.__file__).resolve().parent.parent)
+    outputs = {}
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        out.mkdir()
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        subprocess.run([sys.executable, "-c", _THREADED_RUN, str(out), json.dumps(_THREADED_CALLS)],
+                       env=env, cwd=tmp_path, capture_output=True, text=True, check=True)
+        outputs[threads] = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert len(outputs["1"]) == 9  # 3 single-CSV calls, and 2 protocol runs with histograms and metadata
+    assert outputs["1"] == outputs["2"]
 
 
 def test_histograms_command(tmp_path):

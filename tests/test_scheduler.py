@@ -660,3 +660,91 @@ def test_drive_rejects_an_invalid_interval(tau):
     with pytest.raises(ValueError, match="round 2: interval"):
         dissipative_protocol(thermal_state(small), small, diss, "power_on", 2, "schedule",
                              tau_schedule=[8.0, tau])
+
+
+def _mp_probability(ladder, shifted, tau):
+    """sum_n g^2 n shifted_n (sin(O_n tau) / O_n)^2 at the current mpmath
+    precision, from the float ladder constants, populations and interval
+    taken as exact: the function the float score and the Taylor model
+    both approximate."""
+    from mpmath import mpf, sin
+
+    omega, divisor, _, g2n = ladder
+    tau = mpf(tau)
+    total = mpf(0)
+    for o, d, w, p in zip(omega.tolist(), divisor.tolist(), g2n.tolist(), shifted.tolist()):
+        if w and p:
+            s = sin(mpf(o) * tau) / mpf(d) if o else tau
+            total += mpf(w) * mpf(p) * s * s
+    return total
+
+
+def _bound_cases():
+    """(params, kind, ladder, shifted) for N = 100 and 400, a thermal and
+    a random state, and both closed-form kinds of the optimizers."""
+    from qbattery.propagator import _kind_ladder, _shifted
+
+    rng = np.random.default_rng(51)
+    for n_levels in (100, 400):
+        params = SystemParams(n_levels=n_levels, g=0.04, delta=0.02, beta=0.05)
+        for state in (thermal_state(params), BatteryState.diagonal(rng.dirichlet(np.ones(params.dim)))):
+            for kind in ("eg", "ge"):
+                yield params, kind, _kind_ladder(params, kind), _shifted(kind, state.populations)
+
+
+def test_exact_score_error_within_its_stated_term():
+    # the derivation in _interval_model's docstring, restated: a float
+    # exact point errs by at most u (tau S_1 / 2 + (6 + 4 _FUNCTION_ULPS +
+    # _pairwise_depth(N + 1)) S_0), with S_i = sum_n B_n (2 O_n)^i / i!,
+    # B_n = g^2 n shifted_n / O_n^2, here without the _SAFETY factor
+    mpmath = pytest.importorskip("mpmath")
+    import qbattery.scheduler as scheduler
+
+    worst = 0.0
+    taus = np.concatenate([np.linspace(0.0, 157.0, 9)[1:], np.random.default_rng(7).uniform(100.0, 157.0, 4)])
+    with mpmath.workdps(50):
+        for params, kind, ladder, shifted in _bound_cases():
+            omega, divisor, _, g2n = ladder
+            amp = g2n * shifted / divisor**2
+            s0, s1 = amp.sum(), (2.0 * omega * amp).sum()
+            units = 6 + 4 * scheduler._FUNCTION_ULPS + scheduler._pairwise_depth(params.dim)
+            for tau in taus.tolist():
+                value = float(scheduler._scores(params, kind, ladder, shifted, tau))
+                error = abs(mpmath.mpf(value) - _mp_probability(ladder, shifted, tau))
+                bound = scheduler._UNIT * (0.5 * tau * s1 + units * s0)
+                worst = max(worst, float(error) / bound)
+    assert worst <= 1.0
+
+
+def test_taylor_model_error_within_its_reported_point_bound(monkeypatch):
+    # at degree 8 the Taylor remainder dominates the model's bound; each
+    # point's model value, the gap P(tau) - P(tau0) from the bracket
+    # centre, must match the 50-digit gap within the bound the model
+    # reports for the point, (e - _GAP_FLOOR / 2) / _SAFETY
+    mpmath = pytest.importorskip("mpmath")
+    import qbattery.scheduler as scheduler
+
+    degree = 8
+    monkeypatch.setattr(scheduler, "TAYLOR_DEGREE", degree)
+    monkeypatch.setattr(scheduler, "_COS_SIGN", np.array([(-0.5, 0.0, 0.5, 0.0)[k % 4] for k in range(degree + 1)]))
+    monkeypatch.setattr(scheduler, "_SIN_SIGN", np.array([(0.0, 0.5, 0.0, -0.5)[k % 4] for k in range(degree + 1)]))
+    scheduler._taylor_table.cache_clear()
+    worst = 0.0
+    try:
+        with mpmath.workdps(50):
+            for params, kind, ladder, shifted in _bound_cases():
+                taus = np.linspace(0.0, 2.0 * math.pi / params.g, 401)[1:]
+                for i in (1, 57, 160, 289, 398):
+                    lo, hi = float(taus[i - 1]), float(taus[i + 1])
+                    model, _ = scheduler._interval_model(params, kind, ladder, shifted, lo, hi, None)
+                    assert model is not None
+                    centre = 0.5 * (lo + hi)
+                    start = _mp_probability(ladder, shifted, centre)
+                    c, d = hi - GOLDEN * (hi - lo), lo + GOLDEN * (hi - lo)
+                    for tau in (lo, c, 0.25 * (3.0 * lo + hi), d, hi):
+                        value, e = model(tau)
+                        error = abs(mpmath.mpf(value) - (_mp_probability(ladder, shifted, tau) - start))
+                        worst = max(worst, float(error) / ((e - 0.5 * scheduler._GAP_FLOOR) / scheduler._SAFETY))
+    finally:
+        scheduler._taylor_table.cache_clear()
+    assert worst <= 1.0

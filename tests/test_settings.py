@@ -43,6 +43,8 @@ SETTING_MISTAKES = {
     "general under analytic": lambda: run_protocol(STATE, SMALL, "general", 2, "analytic", charger=COHERENT),
     "numeric of general": lambda: run_protocol(STATE, SMALL, "general", 2, "numeric", charger=COHERENT),
     "x=0.5": lambda: run_protocol(STATE, SMALL, "power_off", 2, "power_off_compromise", x=0.5),
+    "x=nan": lambda: run_protocol(STATE, SMALL, "power_off", 2, "power_off_compromise", x=float("nan")),
+    "x=inf": lambda: run_protocol(STATE, SMALL, "power_off", 2, "power_off_compromise", x=float("inf")),
     "unknown objective": lambda: run_protocol(STATE, SMALL, "power_off", 2, "power_off_compromise",
                                               objective="bogus"),
     "general compromise": lambda: run_protocol(STATE, SMALL, "general", 2, "power_off_compromise",

@@ -188,6 +188,18 @@ def test_battery_state_validation():
     assert abs(state.populations.sum() - 1.0) <= SUM_ATOL
 
 
+@pytest.mark.parametrize("build", [
+    lambda: BatteryState.diagonal([math.nan, 0.5]),
+    lambda: BatteryState.from_matrix([[0.5, math.nan], [math.nan, 0.5]]),
+    lambda: BatteryState(np.array([0.5, 0.5]), np.array([[0.0, math.nan], [0.0, 0.0]])),
+    lambda: gaussian_reference(5.0, math.nan, 10),
+], ids=["population", "hermiticity", "positivity", "variance"])
+def test_nan_fails_every_tolerance_check(build):
+    # a check written "x > tol: raise" lets NaN through
+    with pytest.raises(ValueError):
+        build()
+
+
 @pytest.mark.parametrize("populations", [
     [1.0 + 1e-15, -1e-15], [-0.0, 0.25, 0.75], [0.5, -0.0, 0.5], [0.3, 0.7], [-1e-15, 0.0, -0.0, 1.0 + 1e-15],
 ])
