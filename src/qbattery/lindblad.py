@@ -38,8 +38,13 @@ A state whose only occupied gap is 0 (every power-on and power-off
 round) is block-diagonal in the excitation number: |g, 0> and |e, N>
 stand alone and each |g, k> pairs with |e, k-1>, so its lowest
 eigenvalue is the smallest of N+2 closed forms, O(N). Wider supports
-(a coherent charger, a battery with coherences) keep a Cholesky factor
-of the whole joint state. Both report a violation the same way.
+(a coherent charger, a battery with coherences) keep the Cholesky
+factor of the whole joint state that ``states._psd_violation`` also
+runs for every general ``BatteryState``; a NaN fails both routes. Both
+report a violation the same way, and only a violation is diagonalized
+(``eigvalsh``, to word the warning). A damped general round's battery
+state is diagonalized once, by the ``eigh`` of ``from_matrix``'s
+clipping, and keeps that spectrum.
 """
 
 from __future__ import annotations
@@ -58,7 +63,9 @@ from scipy.integrate import solve_ivp
 from .propagator import ZERO_PROBABILITY_ATOL, ZeroProbabilityError, _check_interval
 from .rounds import RoundRecord, _scheme_charger
 from .scheduler import DAMPED_POLICIES, Trajectory, _drive, _interval_chooser
-from .states import BatteryState, ChargerSpec, SettingError, SystemParams, mean_occupation, thermal_state
+from .states import (
+    BatteryState, ChargerSpec, SettingError, SystemParams, _psd_violation, mean_occupation, thermal_state,
+)
 
 HERMITICITY_ATOL = 1e-10
 TRACE_ATOL = 1e-8
@@ -238,25 +245,18 @@ def _sector_lowest_eigenvalue(rho: np.ndarray, dim: int) -> float:
     a, d = diag[1:dim], diag[dim:-1]
     b = rho.diagonal(dim - 1)[1:dim]  # <g, k| rho |e, k-1>
     pairs = 0.5 * (a + d) - np.hypot(0.5 * (a - d), np.abs(b))
-    return float(min(diag[0], diag[-1], pairs.min()))
+    return float(np.min((diag[0], diag[-1], pairs.min())))  # NaN-propagating, unlike min()
 
 
 def _positivity_violation(rho: np.ndarray, dim: int, sector: bool) -> float | None:
     """The lowest eigenvalue of ``rho`` when it lies below
-    -POSITIVITY_ATOL, else None; ``sector`` says that only gap-0 elements
-    are occupied, so the blocks of ``_sector_lowest_eigenvalue`` decide."""
+    -POSITIVITY_ATOL or is NaN, else None; ``sector`` says that only gap-0
+    elements are occupied, so the blocks of ``_sector_lowest_eigenvalue``
+    decide, and otherwise the Cholesky test of ``_psd_violation`` does."""
     if sector:
         lo = _sector_lowest_eigenvalue(rho, dim)
-        return lo if lo < -POSITIVITY_ATOL else None
-    # rho + atol I has a Cholesky factor exactly when no eigenvalue of
-    # rho lies below -atol; the spectrum is computed only to report one
-    shifted = rho.copy()
-    shifted.flat[:: rho.shape[0] + 1] += POSITIVITY_ATOL
-    try:
-        np.linalg.cholesky(shifted)
-    except np.linalg.LinAlgError:
-        return float(np.linalg.eigvalsh(rho).min())
-    return None
+        return lo if not lo >= -POSITIVITY_ATOL else None
+    return _psd_violation(rho, POSITIVITY_ATOL)
 
 
 def integrate(
@@ -313,10 +313,10 @@ def integrate(
     y = sol.y[:, -1]
     transposed = y[band.partner].conj()
     herm = np.abs(y - transposed).max()
-    if herm > HERMITICITY_ATOL:
+    if not herm <= HERMITICITY_ATOL:
         warnings.warn(f"Hermiticity drift {herm:.2e} exceeds {HERMITICITY_ATOL}")
     tr = abs(y[band.diag].real.sum() - 1.0)
-    if tr > TRACE_ATOL:
+    if not tr <= TRACE_ATOL:
         warnings.warn(f"trace drift {tr:.2e} exceeds {TRACE_ATOL}")
     rho = np.zeros(flat0.size, dtype=complex)
     rho[band.index] = 0.5 * (y + transposed)

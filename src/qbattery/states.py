@@ -8,8 +8,9 @@ spacing omega_b.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import KW_ONLY, InitVar, dataclass, field
+from dataclasses import KW_ONLY, InitVar, dataclass
 
 import numpy as np
 
@@ -116,14 +117,16 @@ class BatteryState:
     ``populations`` always holds the level occupations. For general
     states ``coherences`` stores the strictly upper-triangular part of
     the density matrix; the full matrix is diag(populations) +
-    coherences + coherences^dagger. ``spectrum`` holds the eigenvalues,
-    read-only: the populations of a diagonal state, and for a general
-    state the ascending ``eigvalsh`` output of its positivity check.
+    coherences + coherences^dagger. Building a general state checks its
+    positivity with one Cholesky factor and does not diagonalize it.
+    ``spectrum`` holds the eigenvalues, read-only: the populations of a
+    diagonal state, the cleaned eigenvalues that ``from_matrix(clip>0)``
+    hands over, and otherwise the ascending ``eigvalsh`` of the matrix,
+    computed on first read and at most once.
     """
 
     populations: np.ndarray
     coherences: np.ndarray | None = None
-    spectrum: np.ndarray = field(init=False, repr=False)
     _: KW_ONLY
     # ``from_matrix`` hands over the spectrum it has already computed
     _spectrum: InitVar[np.ndarray | None] = None
@@ -147,21 +150,32 @@ class BatteryState:
         p = p / total
         p.flags.writeable = False
         object.__setattr__(self, "populations", p)
-        object.__setattr__(self, "spectrum", p)
-        if self.coherences is not None:
-            ch = np.asarray(self.coherences, dtype=complex)
-            if ch.shape != (p.size, p.size):
-                raise ValueError("coherences must be a square matrix matching populations")
-            if np.abs(np.tril(ch)).max() > 0:
-                raise ValueError("coherences must be strictly upper-triangular")
-            ch = ch.copy()
-            ch.flags.writeable = False
-            object.__setattr__(self, "coherences", ch)
-            spectrum = np.linalg.eigvalsh(self.matrix) if _spectrum is None else _spectrum
-            spectrum.flags.writeable = False
-            object.__setattr__(self, "spectrum", spectrum)
-            if not spectrum.min() >= -PSD_ATOL:
-                raise ValueError(f"state is not positive semidefinite (min eig {spectrum.min():.3e})")
+        if self.coherences is None:
+            self.__dict__["spectrum"] = p  # fills the cached property
+            return
+        ch = np.asarray(self.coherences, dtype=complex)
+        if ch.shape != (p.size, p.size):
+            raise ValueError("coherences must be a square matrix matching populations")
+        if np.abs(np.tril(ch)).max() > 0:
+            raise ValueError("coherences must be strictly upper-triangular")
+        ch = ch.copy()
+        ch.flags.writeable = False
+        object.__setattr__(self, "coherences", ch)
+        if _spectrum is not None:
+            # clipped to >= 0 by ``from_matrix``, so positive without a check
+            _spectrum.flags.writeable = False
+            self.__dict__["spectrum"] = _spectrum
+            return
+        lowest = _psd_violation(self.matrix, PSD_ATOL)
+        if lowest is not None:
+            raise ValueError(f"state is not positive semidefinite (min eig {lowest:.3e})")
+
+    @functools.cached_property
+    def spectrum(self) -> np.ndarray:
+        """Ascending eigenvalues, read-only; see the class docstring."""
+        spectrum = np.linalg.eigvalsh(self.matrix)
+        spectrum.flags.writeable = False
+        return spectrum
 
     @classmethod
     def diagonal(cls, populations) -> "BatteryState":
@@ -173,12 +187,15 @@ class BatteryState:
         ``HERM_ATOL`` and symmetrized before use, snapping to diagonal form
         when all off-diagonal elements are below ``DIAG_ATOL``.
 
-        ``clip`` > 0 tolerates and removes spectral dust down to -clip
-        (integrator output); the cleaned state is renormalized and keeps
-        the cleaned eigenvalues as its spectrum. A diagonal input is its
-        own spectrum and is cleaned without a diagonalization: by Weyl's
-        bound ``eigh`` would move it by at most (N+1) DIAG_ATOL, and its
-        result would snap back to diagonal form.
+        Without ``clip`` a general input is checked by the one Cholesky
+        factor of ``BatteryState`` and not diagonalized. ``clip`` > 0
+        tolerates and removes spectral dust down to -clip (integrator
+        output): a general input is diagonalized once, by ``eigh``, and
+        the cleaned state is renormalized and keeps the cleaned
+        eigenvalues as its spectrum. A diagonal input is its own spectrum
+        and is cleaned without a diagonalization: by Weyl's bound ``eigh``
+        would move it by at most (N+1) DIAG_ATOL, and its result would
+        snap back to diagonal form.
         """
         rho = np.asarray(rho, dtype=complex)
         drift = np.abs(rho - rho.conj().T).max()
@@ -222,6 +239,33 @@ class BatteryState:
         if self.coherences is not None:
             rho = rho + self.coherences + self.coherences.conj().T
         return rho
+
+
+def _psd_violation(matrix: np.ndarray, atol: float) -> float | None:
+    """None when no eigenvalue of the Hermitian ``matrix`` lies below
+    -``atol``, else its lowest eigenvalue, or NaN where ``eigvalsh``
+    cannot compute one.
+
+    matrix + atol I has a Cholesky factor exactly when the matrix passes
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    section 10.1), so the spectrum is computed only to report a
+    violation. A NaN or infinite element can leave a non-finite factor
+    without a ``LinAlgError``; that factor counts as a violation. Its
+    diagonal decides: L_ii = sqrt(a_ii - sum_k |L_ik|^2) takes in every
+    element of row i.
+    """
+    shifted = matrix.copy()
+    shifted.flat[:: matrix.shape[0] + 1] += atol
+    try:
+        finite = np.isfinite(np.linalg.cholesky(shifted).diagonal()).all()
+    except np.linalg.LinAlgError:
+        finite = False
+    if finite:
+        return None
+    try:
+        return float(np.linalg.eigvalsh(matrix).min())
+    except np.linalg.LinAlgError:
+        return math.nan
 
 
 def fock_state(level: int, n_levels: int) -> BatteryState:
@@ -305,8 +349,8 @@ def gaussian_reference(mean: float, variance: float, n_levels: int) -> BatterySt
     The targets are not re-fitted: truncation can shift the realized
     moments, which callers should read back off the returned state.
     """
-    if not variance > 0.0:
-        raise ValueError(f"variance must be > 0, got {variance}")
+    if not 0.0 < variance < math.inf:
+        raise ValueError(f"variance must be finite and > 0, got {variance}")
     if not 0.0 <= mean <= n_levels:
         raise ValueError(f"mean {mean} outside the ladder 0..{n_levels}")
     n = np.arange(n_levels + 1)

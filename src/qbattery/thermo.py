@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,9 +21,9 @@ def passive_state(state: BatteryState) -> BatteryState:
     The largest eigenvalue sits on the lowest level, so no cyclic
     unitary can extract work from the result (Allahverdyan, Balian &
     Nieuwenhuizen, EPL 67, 565 (2004)). Only the eigenvalues survive,
-    and they are read from ``state.spectrum``: a general state was
-    diagonalized once, when it was built, and is not diagonalized again.
-    Idempotent.
+    and they are read from ``state.spectrum``: a diagonal state is not
+    diagonalized, and a general state is diagonalized on the first read
+    of its spectrum (here or elsewhere) and never again. Idempotent.
     """
     return BatteryState.diagonal(np.sort(np.clip(state.spectrum, 0.0, None))[::-1])
 
@@ -45,12 +46,26 @@ def _ratio(ergotropy_value: float, energy_value: float) -> float:
 
 @dataclass(frozen=True)
 class ThermoSnapshot:
-    """Per-round energetics; ``power`` is None for the initial state."""
+    """Per-round energetics; ``power`` is None for the initial state.
+
+    ``energy`` and ``power`` are computed when the snapshot is taken.
+    ``ergotropy`` and ``ratio`` are computed from ``state`` on first read
+    and kept, so a general state whose ergotropy nobody reads is never
+    diagonalized, and one that is read is diagonalized once.
+    """
 
     energy: float
-    ergotropy: float
-    ratio: float
-    power: float | None = None
+    power: float | None
+    state: BatteryState = field(repr=False)
+    params: SystemParams = field(repr=False)
+
+    @functools.cached_property
+    def ergotropy(self) -> float:
+        return ergotropy(self.state, self.params)
+
+    @functools.cached_property
+    def ratio(self) -> float:
+        return _ratio(self.ergotropy, self.energy)
 
 
 def snapshot(
@@ -60,18 +75,14 @@ def snapshot(
     tau: float | None = None,
 ) -> ThermoSnapshot:
     """Bundle energy, ergotropy, their ratio, and the power of the round
-    that produced ``state`` (energy gained per unit interaction time)."""
+    that produced ``state`` (energy gained per unit interaction time).
+    The energy and power are computed here; the ergotropy and ratio on
+    first read (see ``ThermoSnapshot``)."""
     e = energy(state, params)
     power = None
     if previous_energy is not None and tau is not None and tau > 0:
         power = (e - previous_energy) / tau
-    extractable = ergotropy(state, params)
-    return ThermoSnapshot(
-        energy=e,
-        ergotropy=extractable,
-        ratio=_ratio(extractable, e),
-        power=power,
-    )
+    return ThermoSnapshot(energy=e, power=power, state=state, params=params)
 
 
 def charging_power(trajectory, m: int) -> float:

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -705,6 +706,15 @@ def test_histograms_are_those_of_the_protocol_run(tmp_path):
     assert main(["histograms", "--out", str(tmp_path / "h.csv"), *sets]) == 0
     assert main(["power_on", "--out", str(tmp_path / "p.csv"), *sets]) == 0
     assert (tmp_path / "h.csv").read_bytes() == (tmp_path / "p_hist.csv").read_bytes()
+
+
+def test_general_histograms_diagonalize_no_state(tmp_path, linalg_calls):
+    # the histograms are populations; no ergotropy is read, so the coherent
+    # post states are checked by their Cholesky factors alone
+    sets = ["schedule.scheme=general", "schedule.policy=fixed", "schedule.fixed_tau=8.0", "charger.q=0.3",
+            "charger.theta=1.2", "charger.c=1.0", "schedule.n_rounds=5", "schedule.histogram_at=[0,5]"]
+    assert main(["histograms", "--out", str(tmp_path / "h.csv"), *[f"--set={s}" for s in sets]]) == 0
+    assert linalg_calls == Counter(cholesky=5)
 
 
 def test_lindblad_command_small(tmp_path):

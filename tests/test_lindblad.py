@@ -467,6 +467,37 @@ def test_an_input_of_trace_one_and_a_half_warns_of_trace_drift():
     assert integrate_warnings(rho0) == integrate_warnings(widened(rho0)) == expected
 
 
+@pytest.mark.parametrize("sector, element", [(False, (1, 2)), (True, (0, 0)), (True, (1, 1))])
+def test_a_nan_element_fails_the_positivity_check(sector, element):
+    import qbattery.lindblad as lindblad
+
+    # a 4x4 joint state at N=1; the dense route's Cholesky factor of a
+    # NaN matrix comes back NaN without an error
+    rho = np.diag([0.25] * 4).astype(complex)
+    rho[element] = rho[element[::-1]] = math.nan
+    assert math.isnan(lindblad._positivity_violation(rho, 2, sector))
+
+
+@pytest.mark.parametrize("wide", [False, True])
+def test_a_nan_solution_warns_of_every_drift(monkeypatch, wide):
+    # solve_ivp refuses a non-finite initial state, so the NaN is put into
+    # its result; each drift check is phrased so that NaN fails it
+    import qbattery.lindblad as lindblad
+
+    solve_ivp = lindblad.solve_ivp
+
+    def nan_solve(*args, **kwargs):
+        sol = solve_ivp(*args, **kwargs)
+        sol.y[0, -1] = math.nan  # element <g,0| rho |g,0>
+        return sol
+
+    monkeypatch.setattr(lindblad, "solve_ivp", nan_solve)
+    rho0 = np.diag(np.full(2 * SMALL.dim, 1.0 / (2 * SMALL.dim))).astype(complex)
+    assert integrate_warnings(widened(rho0) if wide else rho0) == [
+        "Hermiticity drift nan exceeds 1e-10", "trace drift nan exceeds 1e-08", "positivity violation nan beyond 1e-08",
+    ]
+
+
 @pytest.mark.parametrize("spec", [POWER_ON, POWER_OFF, ChargerSpec(q=0.3, theta=1.2, c=1.0)])
 def test_block_projection_matches_the_dense_oracle(spec):
     import qbattery.lindblad as lindblad
@@ -558,16 +589,26 @@ COHERENT = ChargerSpec(q=0.3, theta=1.2, c=1.0)
 
 
 def test_a_general_round_is_diagonalized_once(linalg_calls):
+    # each post state's positivity is one Cholesky factor; its spectrum
+    # is computed when the ergotropy is first read, and kept
     params = SystemParams(n_levels=100, g=0.04, delta=0.02, beta=0.1)
-    run_protocol(thermal_state(params), params, "general", 20, "fixed", charger=COHERENT, fixed_tau=8.0)
-    assert linalg_calls == Counter(eigvalsh=20)
+    closed = run_protocol(thermal_state(params), params, "general", 20, "fixed", charger=COHERENT, fixed_tau=8.0)
+    assert linalg_calls == Counter(cholesky=20)
+    for _ in range(2):
+        ratios = [rec.thermo.ratio for rec in closed.rounds]
+        assert linalg_calls == Counter(cholesky=20, eigvalsh=20)
+    assert all(0.0 < ratio < 1.0 for ratio in ratios)
 
 
 def test_a_damped_general_round_is_diagonalized_once(linalg_calls):
+    # the clipping eigh hands its spectrum to the post state, so reading
+    # the ergotropy diagonalizes nothing more
     params = SystemParams(n_levels=20, g=0.04, delta=0.02, beta=0.1)
     diss = DissipationParams.thermal(params, gamma_b=1e-3)
-    dissipative_protocol(thermal_state(params), params, diss, "general", 1, "fixed",
-                         charger=COHERENT, fixed_tau=8.0)
+    damped = dissipative_protocol(thermal_state(params), params, diss, "general", 1, "fixed",
+                                  charger=COHERENT, fixed_tau=8.0)
+    assert not damped.rounds[0].post_state.is_diagonal
+    assert damped.rounds[0].thermo.ergotropy > 0.0
     assert linalg_calls == Counter(eigh=1, cholesky=1)
 
 

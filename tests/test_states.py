@@ -193,9 +193,11 @@ def test_battery_state_validation():
     lambda: BatteryState.from_matrix([[0.5, math.nan], [math.nan, 0.5]]),
     lambda: BatteryState(np.array([0.5, 0.5]), np.array([[0.0, math.nan], [0.0, 0.0]])),
     lambda: gaussian_reference(5.0, math.nan, 10),
-], ids=["population", "hermiticity", "positivity", "variance"])
+    lambda: gaussian_reference(5.0, math.inf, 10),
+], ids=["population", "hermiticity", "positivity", "variance", "infinite-variance"])
 def test_nan_fails_every_tolerance_check(build):
-    # a check written "x > tol: raise" lets NaN through
+    # a check written "x > tol: raise" lets NaN through; an infinite
+    # variance would flatten the profile to the uniform distribution
     with pytest.raises(ValueError):
         build()
 
@@ -245,16 +247,55 @@ def random_density_matrix(rng, dim):
     return rho / np.trace(rho).real
 
 
-def test_general_state_keeps_the_spectrum_of_its_positivity_check(linalg_calls):
+def test_general_state_is_diagonalized_on_the_first_read_of_its_spectrum(linalg_calls):
     rho = random_density_matrix(np.random.default_rng(11), 6)
     linalg_calls.clear()
     state = BatteryState(np.diag(rho).real, np.triu(rho, k=1))
-    assert linalg_calls == Counter(eigvalsh=1)
-    np.testing.assert_allclose(state.spectrum, np.linalg.eigvalsh(state.matrix), atol=1e-15)
+    assert linalg_calls == Counter(cholesky=1)
+    spectrum = state.spectrum
+    assert linalg_calls == Counter(cholesky=1, eigvalsh=1)
+    assert state.spectrum is spectrum
+    assert linalg_calls == Counter(cholesky=1, eigvalsh=1)
+    assert spectrum.tobytes() == np.linalg.eigvalsh(state.matrix).tobytes()
     with pytest.raises(ValueError, match="read-only"):
         state.spectrum[0] = 0.0
     diagonal = thermal_state(PARAMS)
     assert diagonal.spectrum is diagonal.populations
+
+
+@pytest.mark.parametrize("lowest, passes", [(-5e-11, True), (-2e-10, False)])
+def test_general_state_positivity_is_decided_at_the_tolerance(lowest, passes):
+    vals, vecs = np.linalg.eigh(random_density_matrix(np.random.default_rng(14), 5))
+    vals[0] = lowest
+    vals[1:] *= (1.0 - lowest) / vals[1:].sum()
+    rho = (vecs * vals) @ vecs.conj().T
+    rho = 0.5 * (rho + rho.conj().T)
+    builds = (lambda: BatteryState(np.diag(rho).real, np.triu(rho, k=1)), lambda: BatteryState.from_matrix(rho))
+    for build in builds:
+        if passes:
+            assert build().spectrum.min() == pytest.approx(lowest, abs=1e-15)
+        else:
+            with pytest.raises(ValueError, match=r"min eig -2\.000e-10"):
+                build()
+    # clipping tolerates the dust it is given and names its own threshold otherwise
+    assert BatteryState.from_matrix(rho, clip=1e-8).spectrum.min() == 0.0
+    if not passes:
+        with pytest.raises(ValueError, match="clipping threshold"):
+            BatteryState.from_matrix(rho, clip=1e-10)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, complex(0.0, math.nan), complex(math.inf, 1.0)])
+def test_a_non_finite_element_anywhere_fails_the_positivity_test(value):
+    from qbattery.states import PSD_ATOL, _psd_violation
+
+    # the Cholesky factor of such a matrix can come back without an
+    # error; its diagonal must still show the element
+    rho = random_density_matrix(np.random.default_rng(15), 5)
+    assert _psd_violation(rho, PSD_ATOL) is None
+    for i, j in np.ndindex(rho.shape):
+        bad = rho.copy()
+        bad[i, j], bad[j, i] = value, np.conj(value)
+        assert _psd_violation(bad, PSD_ATOL) is not None
 
 
 def test_a_rebuilt_state_never_reads_a_stale_spectrum():

@@ -113,10 +113,11 @@ def test_only_lindblad_and_validate_load_scipy():
 
 
 def test_no_second_diagonalization_in_the_round_and_energetics_modules():
-    # a state is diagonalized once, when it is built, and keeps its
-    # spectrum; a call in these modules would diagonalize it again
+    # a state checks its positivity when it is built and computes its
+    # spectrum once, when it is first read; a call in these modules would
+    # diagonalize it again, or force a spectrum that no output reads
     offenders = []
-    for module in ("thermo", "rounds", "scheduler"):
+    for module in ("thermo", "rounds", "scheduler", "cli"):
         path = Path(qbattery.__file__).parent / f"{module}.py"
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Attribute):
