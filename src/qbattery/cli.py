@@ -240,20 +240,19 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _cells(values) -> list[str]:
-    """``_fmt`` of each value, a float's repr taken directly; pass an
-    array's ``tolist()``."""
-    return [repr(v) if type(v) is float else _fmt(v) for v in values]
+def _cells(floats) -> list[str]:
+    """``_fmt`` of each float, such as those of an array's ``tolist()``;
+    map ``_fmt`` itself over a column that can hold None or an int."""
+    return list(map(float.__repr__, floats))
 
 
 def write_csv(path: Path, header: list[str], columns) -> None:
     """The schema line, ``header`` and one row per cell of ``columns``,
     equal-length lists of cells each rendered once (see ``_cells``). Every
     CSV the commands write passes through here."""
+    lines = "\n".join([",".join(header), *map(",".join, zip(*columns))])
     with open(path, "w", newline="") as fh:
-        fh.write(f"# schema={SCHEMA_VERSION}\n")
-        fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(row) + "\n" for row in zip(*columns))
+        fh.write(f"# schema={SCHEMA_VERSION}\n{lines}\n")
 
 
 def _check_counts(sweep: dict, *keys: str) -> None:
@@ -341,8 +340,8 @@ def cmd_interval_sweep(config: dict, out: Path) -> None:
                 nbars.append(None)
                 probs.append(round_probability(state, params, scheme, tau))
         k = len(tau_cells)
-        for column, cells in zip(columns, ([scheme] * k, [str(m)] * k, tau_cells, _cells(nbars), _cells(probs),
-                                           [_fmt(marker_analytic)] * k, [_fmt(marker_numeric)] * k)):
+        for column, cells in zip(columns, ([scheme] * k, [str(m)] * k, tau_cells, list(map(_fmt, nbars)),
+                                           _cells(probs), [_fmt(marker_analytic)] * k, [_fmt(marker_numeric)] * k)):
             column += cells
     write_csv(out, ["scheme", "m", "tau", "nbar", "prob", "tau_opt_analytic", "tau_opt_numeric"], columns)
 
@@ -366,7 +365,7 @@ def _trajectory_columns(trajectory, params: SystemParams) -> list[list[str]]:
             rec.thermo.energy, rec.thermo.ergotropy, rec.thermo.ratio, rec.thermo.power,
             *_moments(rec.post_state),
         ))
-    return [_cells(column) for column in zip(*rows)]
+    return [list(map(_fmt, column)) for column in zip(*rows)]
 
 
 def _moments(state: BatteryState) -> tuple:

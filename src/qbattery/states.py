@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import KW_ONLY, InitVar, dataclass
+from dataclasses import KW_ONLY, InitVar, dataclass, field
 
 import numpy as np
 
@@ -44,8 +44,9 @@ class SystemParams:
     beta: float = math.inf
 
     def __post_init__(self):
-        if self.n_levels < 1:
-            raise SettingError(f"n_levels must be >= 1, got {self.n_levels}")
+        n = self.n_levels
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise SettingError(f"n_levels must be an integer >= 1, got {n!r}")
         for name in ("g", "delta", "omega_c"):
             if not math.isfinite(getattr(self, name)):
                 raise SettingError(f"{name} must be finite, got {getattr(self, name)}")
@@ -112,13 +113,12 @@ POWER_OFF = ChargerSpec(q=1.0, theta=math.pi)  # prepare ground, measure excited
 
 @dataclass(frozen=True, eq=False)
 class BatteryState:
-    """Battery state: populations plus optional off-diagonal part.
+    """Battery state: populations plus, if general, the full matrix.
 
-    ``populations`` always holds the level occupations. For general
-    states ``coherences`` stores the strictly upper-triangular part of
-    the density matrix; the full matrix is diag(populations) +
-    coherences + coherences^dagger. Building a general state checks its
-    positivity with one Cholesky factor and does not diagonalize it.
+    ``populations`` always holds the level occupations. A general state,
+    built by ``from_matrix``, keeps the read-only Hermitian matrix its
+    positivity was checked on (one Cholesky factor, no diagonalization),
+    with the populations on its diagonal, and ``matrix`` returns it.
     ``spectrum`` holds the eigenvalues, read-only: the populations of a
     diagonal state, the cleaned eigenvalues that ``from_matrix(clip>0)``
     hands over, and otherwise the ascending ``eigvalsh`` of the matrix,
@@ -126,9 +126,9 @@ class BatteryState:
     """
 
     populations: np.ndarray
-    coherences: np.ndarray | None = None
     _: KW_ONLY
-    # ``from_matrix`` hands over the spectrum it has already computed
+    # ``from_matrix`` hands over a general state's matrix, which it owns, and any spectrum it computed
+    _rho: np.ndarray | None = field(default=None, repr=False)
     _spectrum: InitVar[np.ndarray | None] = None
 
     def __post_init__(self, _spectrum):
@@ -150,23 +150,21 @@ class BatteryState:
         p = p / total
         p.flags.writeable = False
         object.__setattr__(self, "populations", p)
-        if self.coherences is None:
+        rho = self._rho
+        if rho is None:
             self.__dict__["spectrum"] = p  # fills the cached property
             return
-        ch = np.asarray(self.coherences, dtype=complex)
-        if ch.shape != (p.size, p.size):
-            raise ValueError("coherences must be a square matrix matching populations")
-        if np.abs(np.tril(ch)).max() > 0:
-            raise ValueError("coherences must be strictly upper-triangular")
-        ch = ch.copy()
-        ch.flags.writeable = False
-        object.__setattr__(self, "coherences", ch)
+        rho.flat[:: p.size + 1] = p
+        # writes -0.0 as 0.0, so the matrix is diag(p) + upper + upper^H bit for bit
+        rho += 0.0
+        rho.flags.writeable = False
+        object.__setattr__(self, "_rho", rho)
         if _spectrum is not None:
             # clipped to >= 0 by ``from_matrix``, so positive without a check
             _spectrum.flags.writeable = False
             self.__dict__["spectrum"] = _spectrum
             return
-        lowest = _psd_violation(self.matrix, PSD_ATOL)
+        lowest = _psd_violation(rho, PSD_ATOL)
         if lowest is not None:
             raise ValueError(f"state is not positive semidefinite (min eig {lowest:.3e})")
 
@@ -183,7 +181,7 @@ class BatteryState:
 
     @classmethod
     def from_matrix(cls, rho: np.ndarray, clip: float = 0.0) -> "BatteryState":
-        """Build a state from a density matrix, Hermitian within
+        """Build a state from a square density matrix, Hermitian within
         ``HERM_ATOL`` and symmetrized before use, snapping to diagonal form
         when all off-diagonal elements are below ``DIAG_ATOL``.
 
@@ -191,20 +189,21 @@ class BatteryState:
         factor of ``BatteryState`` and not diagonalized. ``clip`` > 0
         tolerates and removes spectral dust down to -clip (integrator
         output): a general input is diagonalized once, by ``eigh``, and
-        the cleaned state is renormalized and keeps the cleaned
-        eigenvalues as its spectrum. A diagonal input is its own spectrum
-        and is cleaned without a diagonalization: by Weyl's bound ``eigh``
-        would move it by at most (N+1) DIAG_ATOL, and its result would
-        snap back to diagonal form.
+        the cleaned state is renormalized, is the Hermitian matrix of its
+        upper triangle and keeps the cleaned eigenvalues as its spectrum.
+        A diagonal input is its own spectrum and is cleaned without a
+        diagonalization: by Weyl's bound ``eigh`` would move it by at most
+        (N+1) DIAG_ATOL, and its result would snap back to diagonal form.
         """
         rho = np.asarray(rho, dtype=complex)
+        if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or rho.shape[0] < 2:
+            raise ValueError(f"density matrix must be square and at least 2 x 2, got shape {rho.shape}")
         drift = np.abs(rho - rho.conj().T).max()
         if not drift <= HERM_ATOL:
             raise ValueError(f"matrix is not Hermitian within {HERM_ATOL} (drift {drift:.3e})")
         rho = 0.5 * (rho + rho.conj().T)
         pops = np.real(np.diag(rho))
-        upper = np.triu(rho, k=1)
-        diagonal = np.abs(upper).max() <= DIAG_ATOL
+        diagonal = np.abs(rho - np.diag(pops)).max() <= DIAG_ATOL  # its diagonal is real
         spectrum = None
         if clip > 0.0:
             spectrum, vecs = (pops, None) if diagonal else np.linalg.eigh(rho)
@@ -218,11 +217,12 @@ class BatteryState:
                 return cls(spectrum)
             rho = (vecs * spectrum) @ vecs.conj().T
             pops = np.real(np.diag(rho))
-            upper = np.triu(rho, k=1)
-            diagonal = np.abs(upper).max() <= DIAG_ATOL
+            rho = np.triu(rho, k=1)
+            rho += rho.conj().T
+            diagonal = np.abs(rho).max() <= DIAG_ATOL
         if diagonal:
             return cls(pops)
-        return cls(pops, upper, _spectrum=spectrum)
+        return cls(pops, _rho=rho, _spectrum=spectrum)
 
     @property
     def n_levels(self) -> int:
@@ -230,15 +230,14 @@ class BatteryState:
 
     @property
     def is_diagonal(self) -> bool:
-        return self.coherences is None
+        return self._rho is None
 
     @property
     def matrix(self) -> np.ndarray:
-        """Full density matrix, (N+1) x (N+1) complex."""
-        rho = np.diag(self.populations).astype(complex)
-        if self.coherences is not None:
-            rho = rho + self.coherences + self.coherences.conj().T
-        return rho
+        """Full density matrix, (N+1) x (N+1) complex, stored and read-only for a general state."""
+        if self._rho is None:
+            return np.diag(self.populations).astype(complex)
+        return self._rho
 
 
 def _psd_violation(matrix: np.ndarray, atol: float) -> float | None:

@@ -612,6 +612,30 @@ def test_a_damped_general_round_is_diagonalized_once(linalg_calls):
     assert linalg_calls == Counter(eigh=1, cholesky=1)
 
 
+@pytest.mark.parametrize("build", ["from_matrix", "negative_zero", "general_round", "damped_general_round"])
+def test_a_general_state_keeps_one_read_only_matrix(build):
+    # the matrix its positivity was checked on, read without a rebuild,
+    # equal bit for bit to its populations plus its two triangles
+    params = SystemParams(n_levels=20, g=0.04, delta=0.02, beta=0.1)
+    if build == "from_matrix":
+        state = random_battery(np.random.default_rng(16), params.dim, general=True)
+    elif build == "negative_zero":
+        state = BatteryState.from_matrix([[0.5, 0.1, -0.0], [0.1, 0.3, 0.0], [-0.0, 0.0, 0.2]])
+    elif build == "general_round":
+        state = run_protocol(thermal_state(params), params, "general", 1, "fixed", charger=COHERENT,
+                             fixed_tau=8.0).rounds[0].post_state
+    else:
+        diss = DissipationParams.thermal(params, gamma_b=1e-3)
+        state = dissipative_protocol(thermal_state(params), params, diss, "general", 1, "fixed",
+                                     charger=COHERENT, fixed_tau=8.0).rounds[0].post_state
+    matrix = state.matrix
+    assert not state.is_diagonal and state.matrix is matrix
+    with pytest.raises(ValueError, match="read-only"):
+        matrix[0, 1] = 0.0
+    upper = np.triu(matrix, k=1)
+    assert matrix.tobytes() == (np.diag(state.populations) + upper + upper.conj().T).tobytes()
+
+
 @pytest.mark.parametrize("scheme, tau", [("power_on", 8.0), ("power_off", 30.0)])
 def test_damped_power_on_and_power_off_rounds_are_never_diagonalized(linalg_calls, scheme, tau):
     params = SystemParams(n_levels=20, g=0.04, delta=0.02, beta=0.1)

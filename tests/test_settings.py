@@ -28,6 +28,8 @@ STATE = thermal_state(SMALL)
 
 SETTING_MISTAKES = {
     "n_levels=0": lambda: SystemParams(n_levels=0, g=0.04),
+    "n_levels=2.5": lambda: SystemParams(n_levels=2.5, g=0.04),
+    "n_levels=True": lambda: SystemParams(n_levels=True, g=0.04),
     "beta<0": lambda: SystemParams(n_levels=8, g=0.04, beta=-2.0),
     "g=nan": lambda: SystemParams(n_levels=8, g=float("nan")),
     "q=2": lambda: ChargerSpec(q=2.0, theta=0.0),
@@ -70,6 +72,8 @@ NOT_SETTINGS = {
     "grid_points=0": (ValueError, lambda: tau_opt_numeric(STATE, SMALL, grid_points=0)),
     "negative round interval": (ValueError, lambda: power_on_round(STATE, SMALL, -1.0)),
     "unnormalized state": (ValueError, lambda: BatteryState(np.array([0.5, 0.6]))),
+    "non-square matrix": (ValueError, lambda: BatteryState.from_matrix(np.full((2, 3), 1 / 6))),
+    "stack of matrices": (ValueError, lambda: BatteryState.from_matrix(np.full((1, 2, 2), 0.25))),
     "zero-probability round": (ZeroProbabilityError, lambda: power_off_round(fock_state(0, 8), SMALL, 1.0)),
     "zero-probability first round": (NoChargingError, lambda: run_protocol(fock_state(0, 8), SMALL, "power_off", 2,
                                                                            "fixed", fixed_tau=1.0)),

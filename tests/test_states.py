@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from collections import Counter
 
@@ -35,6 +34,11 @@ def test_system_params_validation():
                        ("omega_c", math.inf), ("omega_c", math.nan), ("beta", math.nan)]:
         with pytest.raises(ValueError, match=field):
             SystemParams(**{"n_levels": 10, "g": 0.04, field: bad})
+    # numpy integers count as integers; a bool or a float does not
+    assert SystemParams(n_levels=np.int64(10), g=0.04).dim == 11
+    for bad in (2.5, 2.0, True, np.float64(3.0)):
+        with pytest.raises(ValueError, match="n_levels must be an integer >= 1"):
+            SystemParams(n_levels=bad, g=0.04)
     assert SystemParams(n_levels=10, g=0.04, beta=math.inf).beta == math.inf
 
 
@@ -188,10 +192,17 @@ def test_battery_state_validation():
     assert abs(state.populations.sum() - 1.0) <= SUM_ATOL
 
 
+def overflowing_coherence():
+    # a NaN element fails the Hermiticity check first; this finite one
+    # becomes inf + NaN j when symmetrized and reaches the positivity test
+    with np.errstate(over="ignore", invalid="ignore"):
+        return BatteryState.from_matrix([[0.5, 1e308], [1e308, 0.5]])
+
+
 @pytest.mark.parametrize("build", [
     lambda: BatteryState.diagonal([math.nan, 0.5]),
     lambda: BatteryState.from_matrix([[0.5, math.nan], [math.nan, 0.5]]),
-    lambda: BatteryState(np.array([0.5, 0.5]), np.array([[0.0, math.nan], [0.0, 0.0]])),
+    overflowing_coherence,
     lambda: gaussian_reference(5.0, math.nan, 10),
     lambda: gaussian_reference(5.0, math.inf, 10),
 ], ids=["population", "hermiticity", "positivity", "variance", "infinite-variance"])
@@ -234,6 +245,12 @@ def test_from_matrix_roundtrip_and_diagonal_snap():
         BatteryState.from_matrix(np.array([[0.5, 0.4], [0.1, 0.5]]))  # not Hermitian
 
 
+@pytest.mark.parametrize("shape", [(2, 3), (1, 2, 2), (4,), (1, 1), (0, 0)])
+def test_from_matrix_rejects_a_non_square_input(shape):
+    with pytest.raises(ValueError, match=r"density matrix must be square and at least 2 x 2, got shape"):
+        BatteryState.from_matrix(np.full(shape, 0.5))
+
+
 def test_from_matrix_rejects_unphysical_spectra():
     rho = np.diag([1.2, -0.2]).astype(complex)
     rho[0, 1] = rho[1, 0] = 0.3
@@ -250,7 +267,7 @@ def random_density_matrix(rng, dim):
 def test_general_state_is_diagonalized_on_the_first_read_of_its_spectrum(linalg_calls):
     rho = random_density_matrix(np.random.default_rng(11), 6)
     linalg_calls.clear()
-    state = BatteryState(np.diag(rho).real, np.triu(rho, k=1))
+    state = BatteryState.from_matrix(rho)
     assert linalg_calls == Counter(cholesky=1)
     spectrum = state.spectrum
     assert linalg_calls == Counter(cholesky=1, eigvalsh=1)
@@ -270,13 +287,11 @@ def test_general_state_positivity_is_decided_at_the_tolerance(lowest, passes):
     vals[1:] *= (1.0 - lowest) / vals[1:].sum()
     rho = (vecs * vals) @ vecs.conj().T
     rho = 0.5 * (rho + rho.conj().T)
-    builds = (lambda: BatteryState(np.diag(rho).real, np.triu(rho, k=1)), lambda: BatteryState.from_matrix(rho))
-    for build in builds:
-        if passes:
-            assert build().spectrum.min() == pytest.approx(lowest, abs=1e-15)
-        else:
-            with pytest.raises(ValueError, match=r"min eig -2\.000e-10"):
-                build()
+    if passes:
+        assert BatteryState.from_matrix(rho).spectrum.min() == pytest.approx(lowest, abs=1e-15)
+    else:
+        with pytest.raises(ValueError, match=r"min eig -2\.000e-10"):
+            BatteryState.from_matrix(rho)
     # clipping tolerates the dust it is given and names its own threshold otherwise
     assert BatteryState.from_matrix(rho, clip=1e-8).spectrum.min() == 0.0
     if not passes:
@@ -311,10 +326,10 @@ def test_a_rebuilt_state_never_reads_a_stale_spectrum():
     ]
     # halving the coherences mixes the state with its diagonal: still a
     # state, with the same populations and another spectrum
-    rebuilt = [dataclasses.replace(state, coherences=0.5 * state.coherences) for state in states]
-    pairs = [(BatteryState(s.populations, s.coherences), BatteryState(s.populations, 0.5 * s.coherences))
-             for s in states]
-    for state in states + rebuilt + [s for pair in pairs for s in pair]:
+    rebuilt = [BatteryState.from_matrix(0.5 * (state.matrix + np.diag(state.populations))) for state in states]
+    # a copy diagonalizes its own matrix
+    copies = [BatteryState.from_matrix(s.matrix) for s in states + rebuilt]
+    for state in states + rebuilt + copies:
         np.testing.assert_allclose(state.spectrum, np.linalg.eigvalsh(state.matrix), atol=1e-14)
     for state, other in zip(states, rebuilt):
         assert not np.allclose(other.spectrum, state.spectrum)

@@ -72,6 +72,21 @@ def test_only_validate_imports_scipy_linalg():
     assert offenders == []
 
 
+def test_only_states_touches_the_stored_matrix_of_a_general_state():
+    # a general state's format, one read-only Hermitian matrix, is decided
+    # in ``states``; every other module reads ``matrix``, ``spectrum`` and
+    # ``is_diagonal`` and builds general states with ``from_matrix``
+    offenders = []
+    for path in sorted(Path(qbattery.__file__).parent.glob("*.py")):
+        if path.name == "states.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            # an attribute, a keyword argument or a getattr-style string
+            if "_rho" in (getattr(node, "attr", None), getattr(node, "arg", None), getattr(node, "value", None)):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
 def _import_time_modules(path):
     """(line, module) for each module that importing ``path`` imports:
     statements outside function bodies and ``if TYPE_CHECKING:`` blocks,
