@@ -108,9 +108,10 @@ class ConfigError(SettingError):
 
 def _merge(base: dict, override: dict, path: str = "", defaults: dict = _BASE_CONFIG) -> dict:
     """``base`` with ``override`` merged in table by table, each value
-    kind-checked against ``defaults``, its table of ``_BASE_CONFIG``, and
-    copied once, so the result shares no list or table with either."""
-    merged = {}
+    kind-checked against ``defaults``, its table of ``_BASE_CONFIG``. The
+    result shares the values it does not replace with ``base``, and those
+    it does with ``override``."""
+    merged = dict(base)
     for key, value in override.items():
         where = f"{path}.{key}" if path else key
         if key not in base:
@@ -121,34 +122,23 @@ def _merge(base: dict, override: dict, path: str = "", defaults: dict = _BASE_CO
             merged[key] = _merge(base[key], value, where, defaults[key])
         else:
             _check_kind(value, defaults[key], where)
-            merged[key] = copy.deepcopy(value)
-    return {key: merged[key] if key in merged else copy.deepcopy(value) for key, value in base.items()}
+            merged[key] = value
+    return merged
 
 
-def _apply_set(config: dict, assignment: str) -> None:
+def _set_table(assignment: str) -> dict:
+    """The nested table that ``--set key=value`` stands for, its value read
+    as JSON where it parses and as a string otherwise."""
     if "=" not in assignment:
         raise ConfigError(f"--set needs key=value, got {assignment!r}")
     key, raw = assignment.split("=", 1)
     try:
-        value = json.loads(raw)
+        table = json.loads(raw)
     except json.JSONDecodeError:
-        value = raw
-    node, defaults = config, _BASE_CONFIG
-    parts = key.split(".")
-    for part in parts[:-1]:
-        if part not in node or not isinstance(node[part], dict):
-            raise ConfigError(f"unknown config key {key!r}")
-        node, defaults = node[part], defaults[part]
-    last = parts[-1]
-    if last not in node:
-        raise ConfigError(f"unknown config key {key!r}")
-    if isinstance(node[last], dict):
-        if not isinstance(value, dict):
-            raise ConfigError(f"{key!r} must be a table")
-        value = _merge(node[last], value, key, defaults[last])
-    else:
-        _check_kind(value, defaults[last], key)
-    node[last] = value
+        table = raw
+    for part in reversed(key.split(".")):
+        table = {part: table}
+    return table
 
 
 def _fits(value, default) -> bool:
@@ -180,6 +170,9 @@ def _check_kind(value, default, where: str) -> None:
 
 
 def load_config(experiment: str, config_path: str | None, sets: list[str]) -> dict:
+    """The experiment's defaults with the config file and then each
+    ``--set`` merged in, copied once, so it shares no list or table with
+    the defaults or its inputs."""
     config = _merge(_BASE_CONFIG, _EXPERIMENT_OVERRIDES[experiment])
     if config_path is not None:
         try:
@@ -193,8 +186,8 @@ def load_config(experiment: str, config_path: str | None, sets: list[str]) -> di
             raise ConfigError(f"unsupported config schema {user.get('schema')!r}")
         config = _merge(config, user)
     for assignment in sets:
-        _apply_set(config, assignment)
-    return config
+        config = _merge(config, _set_table(assignment))
+    return copy.deepcopy(config)
 
 
 def _build_params(config: dict) -> SystemParams:
@@ -446,31 +439,21 @@ def cmd_protocol(config: dict, out: Path, experiment: str) -> None:
     _write_metadata(trajectory, config, experiment, out.with_suffix(".json"), attempts)
 
 
-# solve_ivp raises a smaller rtol to this floor, with a warning; integrate
-# scales the tolerance up, never down
-_RTOL_FLOOR = 100 * sys.float_info.epsilon
-
-
 def cmd_lindblad(config: dict, out: Path) -> None:
-    from .lindblad import dissipative_protocol
+    from .lindblad import _check_tolerances, dissipative_protocol
 
     schedule = config["schedule"]
     params = _build_params(config)
     diss = _build_dissipation(config, params)
     tolerances = {key: float(config["dissipation"][key]) for key in ("rtol", "atol")}
-    for key, value in tolerances.items():
-        if not (math.isfinite(value) and value > 0.0):
-            raise ConfigError(f"dissipation.{key} must be finite and > 0, got {value}")
-    if tolerances["rtol"] < _RTOL_FLOOR:
-        raise ConfigError(f"dissipation.rtol must be >= {_RTOL_FLOOR!r} (100 machine epsilons, the solver's "
-                          f"floor), got {tolerances['rtol']}")
     scheme, policy, n_rounds = schedule["scheme"], schedule["policy"], schedule["n_rounds"]
     initial, charger, inputs = thermal_state(params), _build_charger(config), _policy_inputs(schedule)
     tau_schedule = None
-    if scheme == "power_off" or policy == "power_off_compromise":
+    if policy == "power_off_compromise" or (scheme == "power_off" and policy == "analytic"):
         # mirror the closed-system compromise schedule so the damped run
-        # is directly comparable; the compromise of another scheme is a
-        # setting error
+        # is directly comparable; the analytic default has no power-off
+        # rule, and the compromise of another scheme is a setting error
+        _check_tolerances(**tolerances)  # first, or a failing closed run would hide a bad one
         closed = run_protocol(initial, params, scheme, n_rounds, "power_off_compromise", charger=charger, **inputs)
         tau_schedule = list(closed.taus())
         scheme, policy, n_rounds = "power_off", "schedule", len(tau_schedule)
@@ -519,23 +502,14 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-
     try:
         config = load_config(args.experiment, args.config, args.set)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 1
-
-    out = args.out or config["output_path"]
-    if out is None and args.experiment != "validate":
-        out = f"qbattery_{args.experiment}.csv"
-    out_path = Path(out) if out is not None else None
-    if out_path is not None and not out_path.parent.is_dir():
-        print(f"config error: output directory {out_path.parent} does not exist",
-              file=sys.stderr)
-        return 1
-
-    try:
+        out = args.out or config["output_path"]
+        if out is None and args.experiment != "validate":
+            out = f"qbattery_{args.experiment}.csv"
+        out_path = Path(out) if out is not None else None
+        if out_path is not None and not out_path.parent.is_dir():
+            raise ConfigError(f"output directory {out_path.parent} does not exist")
         if args.experiment == "sweep_theta_q":
             cmd_sweep_theta_q(config, out_path)
         elif args.experiment == "interval_sweep":

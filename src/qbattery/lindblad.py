@@ -70,6 +70,9 @@ from .states import (
 HERMITICITY_ATOL = 1e-10
 TRACE_ATOL = 1e-8
 POSITIVITY_ATOL = 1e-8
+# 100 machine epsilons: solve_ivp raises a smaller rtol to this floor, with
+# a warning; integrate scales the tolerance up, never down
+_RTOL_FLOOR = 100 * 2.0**-52
 
 
 @dataclass(frozen=True)
@@ -108,10 +111,10 @@ class DissipationParams:
         there is an open question; the value is kept as is.
         """
         nbar = mean_occupation(thermal_state(params))
-        if math.isinf(params.beta):
+        try:
+            nbar_c = 1.0 / (math.exp(params.beta * params.omega_b) + 1.0)  # 0.0 at beta = inf
+        except OverflowError:  # beta * omega_b past about 709.8, where the occupation is 0.0 in floats
             nbar_c = 0.0
-        else:
-            nbar_c = 1.0 / (math.exp(params.beta * params.omega_b) + 1.0)
         return cls(
             gamma_b=gamma_b,
             gamma_c=gamma_b if gamma_c is None else gamma_c,
@@ -259,6 +262,17 @@ def _positivity_violation(rho: np.ndarray, dim: int, sector: bool) -> float | No
     return _psd_violation(rho, POSITIVITY_ATOL)
 
 
+def _check_tolerances(rtol: float, atol: float) -> None:
+    """Both solver tolerances are finite and > 0, and ``rtol`` is at least
+    ``_RTOL_FLOOR``, below which the solver would raise it silently."""
+    for name, value in (("rtol", rtol), ("atol", atol)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise SettingError(f"{name} must be finite and > 0, got {value}")
+    if rtol < _RTOL_FLOOR:
+        raise SettingError(f"rtol must be >= {_RTOL_FLOOR!r} (100 machine epsilons, the solver's floor), "
+                           f"got {rtol}")
+
+
 def integrate(
     rho0: np.ndarray,
     tau: float,
@@ -281,8 +295,10 @@ def integrate(
     tolerances raise a warning rather than an error, since they signal
     tolerance starvation, not a wrong model. Positivity is checked per
     excitation block when gap 0 is the only occupied gap, else by a
-    Cholesky factor. ``tau`` must be finite and >= 0.
+    Cholesky factor. ``tau`` must be finite and >= 0; tolerances outside
+    ``_check_tolerances`` raise SettingError.
     """
+    _check_tolerances(rtol, atol)
     rho0 = np.asarray(rho0, dtype=complex)
     expected = 2 * params.dim
     if rho0.shape != (expected, expected):
@@ -369,8 +385,10 @@ def dissipative_protocol(
     round runs.
 
     Tolerances default tighter than bare ``integrate`` so the spectral
-    dust after a few hundred levels stays inside the positivity budget.
+    dust after a few hundred levels stays inside the positivity budget;
+    ``integrate`` rejects them, here before the first round.
     """
+    _check_tolerances(rtol, atol)
     qubit_spec = _scheme_charger(scheme, charger)
     choose_tau = _interval_chooser(
         interval_policy, scheme, params, n_rounds, DAMPED_POLICIES,

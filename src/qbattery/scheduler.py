@@ -143,6 +143,8 @@ def _tau_grid(params: SystemParams, kind: str, tau_max: float | None, grid_point
     state, so they are built once per grid and each call is a single
     matrix product with the columns."""
     if tau_max is None:
+        if params.g == 0.0:
+            raise SettingError("the default optimizer span 2 pi / g needs g != 0; give tau_max")
         tau_max = 2.0 * math.pi / params.g
     if not grid_points >= 1:
         raise ValueError(f"grid_points must be >= 1, got {grid_points}")
@@ -183,8 +185,11 @@ def tau_opt_analytic(state: BatteryState, params: SystemParams) -> float:
     tau = pi / (2 g sqrt(nbar + 1)); the detuning correction enters only
     at second order and is dropped. Strictly decreasing in nbar. The mean
     is that of the populations, so a state with coherences (a damped
-    round's output, say) gets the interval of its diagonal.
+    round's output, say) gets the interval of its diagonal. At g = 0 there
+    is none, a SettingError.
     """
+    if params.g == 0.0:
+        raise SettingError("the analytic interval pi / (2 g sqrt(nbar + 1)) needs g != 0")
     return math.pi / (2.0 * params.g * math.sqrt(mean_occupation(state) + 1.0))
 
 
@@ -518,7 +523,8 @@ def _interval_chooser(policy: str, scheme: str, params: SystemParams, n_rounds: 
     if policy == "fixed":
         if fixed_tau is None:
             raise SettingError("fixed policy needs fixed_tau")
-        return lambda state, cumulative, m: fixed_tau
+        tau = float(fixed_tau)  # so that 8 and 8.0 record the same interval
+        return lambda state, cumulative, m: tau
     if policy == "schedule":
         if tau_schedule is None or len(tau_schedule) < n_rounds:
             raise SettingError("schedule policy needs a tau per round")

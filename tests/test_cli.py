@@ -130,13 +130,13 @@ def test_non_finite_damping_fails_the_run(tmp_path, capsys, assignment):
     ("dissipation.nbar_th=-1", "bath occupations must be >= 0"),
     ("dissipation.nbar_th_c=-0.1", "bath occupations must be >= 0"),
     # these five used to exit 0 at scipy's clamped rtol, run for minutes or exit 3
-    ("dissipation.rtol=-1", "dissipation.rtol must be finite and > 0, got -1.0"),
-    ("dissipation.rtol=0", "dissipation.rtol must be finite and > 0, got 0.0"),
-    ("dissipation.rtol=NaN", "dissipation.rtol must be finite and > 0, got nan"),
-    ("dissipation.atol=0", "dissipation.atol must be finite and > 0, got 0.0"),
-    ("dissipation.atol=-1", "dissipation.atol must be finite and > 0, got -1.0"),
+    ("dissipation.rtol=-1", "rtol must be finite and > 0, got -1.0"),
+    ("dissipation.rtol=0", "rtol must be finite and > 0, got 0.0"),
+    ("dissipation.rtol=NaN", "rtol must be finite and > 0, got nan"),
+    ("dissipation.atol=0", "atol must be finite and > 0, got 0.0"),
+    ("dissipation.atol=-1", "atol must be finite and > 0, got -1.0"),
     # scipy raised this to its floor with a warning, and the sidecar kept 1e-20
-    ("dissipation.rtol=1e-20", "dissipation.rtol must be >= 2.220446049250313e-14"),
+    ("dissipation.rtol=1e-20", "rtol must be >= 2.220446049250313e-14"),
 ])
 def test_invalid_damping_is_a_config_error(tmp_path, capsys, assignment, message):
     # the same kind of mistake as in params: exit 1, not a runtime error
@@ -148,10 +148,21 @@ def test_invalid_damping_is_a_config_error(tmp_path, capsys, assignment, message
     assert not out.exists()
 
 
+def test_a_bad_tolerance_is_reported_before_a_mirrored_closed_run_fails(tmp_path, capsys):
+    # the damped power-off run mirrors a closed run, which fails at round 1
+    # on a ground state; the config error must not turn into its exit 3
+    out = tmp_path / "x.csv"
+    argv = ["lindblad", "--out", str(out), "--set", "params.n_levels=8", "--set", "params.beta=inf",
+            "--set", "schedule.scheme=power_off", "--set", "dissipation.rtol=0"]
+    assert main(argv) == 1
+    assert "config error: rtol must be finite and > 0, got 0.0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_rtol_at_the_solver_floor_runs_without_a_warning(tmp_path):
     import warnings
 
-    from qbattery.cli import _RTOL_FLOOR
+    from qbattery.lindblad import _RTOL_FLOOR
 
     argv = ["lindblad", "--out", str(tmp_path / "x.csv"), "--set", "params.n_levels=4",
             "--set", "schedule.n_rounds=1", "--set", f"dissipation.rtol={_RTOL_FLOOR!r}"]
@@ -729,6 +740,72 @@ def test_lindblad_command_small(tmp_path):
     header, rows = read_csv(out)
     assert len(rows) == 3
     assert float(rows[-1][4]) > float(rows[0][4])
+
+
+@pytest.mark.parametrize("command, sets", [
+    ("power_on", ["schedule.policy=fixed"]),
+    ("lindblad", ["schedule.policy=fixed", "params.n_levels=8", "schedule.n_rounds=2"]),
+])
+def test_an_integer_fixed_tau_writes_the_bytes_of_its_float(tmp_path, command, sets):
+    # fixed_tau=8 used to write 8 in every tau cell, and 8.0 writes 8.0
+    outputs = []
+    for spelling in ("8", "8.0"):
+        out = tmp_path / spelling / "x.csv"
+        out.parent.mkdir()
+        argv = [command, "--out", str(out), *[f"--set={s}" for s in sets], f"--set=schedule.fixed_tau={spelling}"]
+        assert main(argv) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1] and b",8.0," in outputs[0]
+
+
+def test_damped_power_off_runs_a_fixed_policy(tmp_path):
+    # it used to run the mirrored compromise schedule, at 14.94 and 9.95
+    out = tmp_path / "x.csv"
+    argv = ["lindblad", "--out", str(out), "--set", "params.n_levels=8", "--set", "schedule.n_rounds=3",
+            "--set", "schedule.scheme=power_off", "--set", "schedule.policy=fixed", "--set", "schedule.fixed_tau=5.0"]
+    assert main(argv) == 0
+    _, rows = read_csv(out)
+    assert [row[1] for row in rows] == ["", "5.0", "5.0", "5.0"]
+
+
+@pytest.mark.parametrize("policy, message", [
+    ("numeric", "policy must be one of ('analytic', 'fixed', 'schedule'), got 'numeric'"),
+    ("schedule", "schedule policy needs a tau per round"),
+])
+def test_damped_power_off_rejects_a_policy_it_does_not_take(tmp_path, capsys, policy, message):
+    # both used to run the mirrored compromise schedule and exit 0
+    argv = ["lindblad", "--out", str(tmp_path / "x.csv"), "--set", "params.n_levels=8",
+            "--set", "schedule.scheme=power_off", "--set", f"schedule.policy={policy}"]
+    assert main(argv) == 1
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, sets", [
+    ("power_on", []),
+    ("power_on", ["schedule.policy=numeric"]),
+    ("power_off", []),
+    ("interval_sweep", ["sweep.m_values=[1]"]),
+    ("interval_sweep", ["sweep.m_values=[2]"]),
+    ("lindblad", []),
+])
+def test_zero_coupling_is_a_config_error(tmp_path, capsys, command, sets):
+    # the analytic interval and the default optimizer span 2 pi / g used
+    # to divide by zero, an exit 3
+    argv = [command, "--out", str(tmp_path / "x.csv"), "--set", "params.n_levels=8", "--set", "params.g=0.0",
+            *[f"--set={s}" for s in sets]]
+    assert main(argv) == 1
+    assert "needs g != 0" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("assignment", ["params.beta=1000", "params.omega_c=1e300"])
+def test_a_cold_qubit_bath_runs(tmp_path, assignment):
+    # its occupation 1 / (exp(beta omega_b) + 1) used to overflow, an exit 3
+    argv = ["lindblad", "--out", str(tmp_path / "x.csv"), "--set", "params.n_levels=8",
+            "--set", "schedule.n_rounds=2", "--set", assignment]
+    assert main(argv) == 0
+    assert json.loads((tmp_path / "x.json").read_text())["rounds_completed"] == 2
 
 
 def test_validate_command(tmp_path):

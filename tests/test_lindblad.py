@@ -200,6 +200,15 @@ def test_thermal_dissipation_defaults():
     assert DissipationParams.thermal(cold, 1e-4).nbar_th == 0.0
 
 
+@pytest.mark.parametrize("beta, omega_c", [(1000.0, 1.0), (0.1, 1e300), (700.0, 1.02), (0.1, 1.02)])
+def test_cold_qubit_bath_occupation_is_its_float_limit(beta, omega_c):
+    # math.exp used to overflow past beta * omega_b = 709.78, an exit 3 in the CLI
+    params = SystemParams(n_levels=10, g=0.04, delta=0.02, omega_c=omega_c, beta=beta)
+    x = beta * params.omega_b
+    expected = 1.0 / (math.exp(x) + 1.0) if x < 709.0 else 0.0
+    assert DissipationParams.thermal(params, 1e-4).nbar_th_c == expected
+
+
 def test_dissipative_protocol_reduces_to_closed_system():
     closed = run_protocol(thermal_state(SMALL), SMALL, "power_on", 5, "analytic")
     damped = dissipative_protocol(

@@ -16,15 +16,18 @@ from qbattery import (
     power_on_round,
     round_probability,
     run_protocol,
+    tau_opt_analytic,
     tau_opt_numeric,
     thermal_state,
 )
-from qbattery.lindblad import DissipationParams, dissipative_protocol
+from qbattery.lindblad import DissipationParams, dissipative_protocol, integrate
 
 SMALL = SystemParams(n_levels=8, g=0.04, delta=0.02, beta=0.1)
 NO_DAMPING = DissipationParams(0.0, 0.0, 0.0, 0.0)
 COHERENT = ChargerSpec(q=0.3, theta=1.2, c=1.0)
 STATE = thermal_state(SMALL)
+UNCOUPLED = SystemParams(n_levels=8, g=0.0, delta=0.02, beta=0.1)
+MIXED_JOINT = np.eye(2 * SMALL.dim) / (2 * SMALL.dim)
 
 SETTING_MISTAKES = {
     "n_levels=0": lambda: SystemParams(n_levels=0, g=0.04),
@@ -56,6 +59,16 @@ SETTING_MISTAKES = {
                                                           fixed_tau=1.0),
     "schedule too short": lambda: dissipative_protocol(STATE, SMALL, NO_DAMPING, "power_off", 2, "schedule",
                                                        tau_schedule=[1.0]),
+    # g = 0 has no analytic interval and no default optimizer span 2 pi / g
+    "analytic at g=0": lambda: run_protocol(STATE, UNCOUPLED, "power_on", 2, "analytic"),
+    "analytic interval at g=0": lambda: tau_opt_analytic(STATE, UNCOUPLED),
+    "default span at g=0": lambda: tau_opt_numeric(STATE, UNCOUPLED),
+    "damped analytic at g=0": lambda: dissipative_protocol(STATE, UNCOUPLED, NO_DAMPING, "power_on", 2),
+    "damped rtol below the floor": lambda: dissipative_protocol(STATE, SMALL, NO_DAMPING, "power_on", 2,
+                                                                rtol=1e-20),
+    "damped atol=nan": lambda: dissipative_protocol(STATE, SMALL, NO_DAMPING, "power_on", 2, atol=float("nan")),
+    "integrate atol=0": lambda: integrate(MIXED_JOINT, 1.0, SMALL, NO_DAMPING, atol=0.0),
+    "integrate rtol=-1": lambda: integrate(MIXED_JOINT, 1.0, SMALL, NO_DAMPING, rtol=-1.0),
 }
 
 
