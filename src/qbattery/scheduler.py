@@ -46,6 +46,16 @@ class NoChargingError(RuntimeError):
     """No interval on the search grid raises the mean population."""
 
 
+def _integer(value) -> bool:
+    """An int or a numpy integer, not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _real(value) -> bool:
+    """An ``_integer``, a float or a numpy float."""
+    return _integer(value) or isinstance(value, (float, np.floating))
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Ordered round records with their cumulative success probability."""
@@ -82,11 +92,6 @@ class Trajectory:
 
     def probabilities(self) -> np.ndarray:
         return np.array([r.probability for r in self.rounds])
-
-    def energies(self) -> np.ndarray:
-        """Energy after each round, preceded by the initial energy."""
-        e0 = energy(self.initial_state, self.params)
-        return np.array([e0] + [r.thermo.energy for r in self.rounds])
 
 
 def _golden_max(lo: float, hi: float, exact, model=None, per_width: float = 0.0) -> float:
@@ -146,6 +151,8 @@ def _tau_grid(params: SystemParams, kind: str, tau_max: float | None, grid_point
         if params.g == 0.0:
             raise SettingError("the default optimizer span 2 pi / g needs g != 0; give tau_max")
         tau_max = 2.0 * math.pi / params.g
+    if not _integer(grid_points):
+        raise ValueError(f"grid_points must be an integer, got {grid_points!r}")
     if not grid_points >= 1:
         raise ValueError(f"grid_points must be >= 1, got {grid_points}")
     if not (math.isfinite(tau_max) and tau_max > 0.0):
@@ -236,8 +243,8 @@ def power_off_objective(
 
 
 def _check_compromise(x: float, objective: str) -> None:
-    if not (math.isfinite(x) and x > 1.0):
-        raise SettingError(f"the balance index x must be finite and exceed 1, got {x}")
+    if not (_real(x) and math.isfinite(x) and x > 1.0):
+        raise SettingError(f"the balance index x must be finite and exceed 1, got {x!r}")
     if objective not in OBJECTIVES:
         raise SettingError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
 
@@ -515,7 +522,10 @@ def _interval_chooser(policy: str, scheme: str, params: SystemParams, n_rounds: 
     """``choose_tau(state, cumulative, m)``, round m's interval under
     ``policy`` in a run of ``n_rounds`` rounds of ``scheme``. Raises
     SettingError for a policy outside ``policies`` or without a rule for the
-    scheme, or a missing policy input; interval values are checked in use."""
+    scheme, or a missing policy input or one of the wrong kind; interval
+    values are checked in use."""
+    if not _integer(n_rounds):
+        raise SettingError(f"n_rounds must be an integer, got {n_rounds!r}")
     if n_rounds < 1:
         raise SettingError(f"n_rounds must be >= 1, got {n_rounds}")
     if policy not in policies:
@@ -523,6 +533,8 @@ def _interval_chooser(policy: str, scheme: str, params: SystemParams, n_rounds: 
     if policy == "fixed":
         if fixed_tau is None:
             raise SettingError("fixed policy needs fixed_tau")
+        if not _real(fixed_tau):
+            raise SettingError(f"fixed_tau must be a number, got {fixed_tau!r}")
         tau = float(fixed_tau)  # so that 8 and 8.0 record the same interval
         return lambda state, cumulative, m: tau
     if policy == "schedule":

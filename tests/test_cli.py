@@ -26,6 +26,23 @@ def test_unknown_config_key_is_a_config_error(tmp_path):
     assert main(["power_on", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1
 
 
+# (command, config file text or None for a missing file, --set assignments, message)
+@pytest.mark.parametrize("command, content, sets, message", [
+    ("power_on", None, [], "cannot read config"),
+    ("power_on", "{not json", [], "cannot read config"),
+    ("power_on", '{"schema": 99}', [], "unsupported config schema 99"),
+    ("interval_sweep", "{}", ["schedule.scheme=general"], "interval_sweep needs a named scheme, got 'general'"),
+])
+def test_an_unusable_config_is_a_config_error(tmp_path, capsys, command, content, sets, message):
+    cfg = tmp_path / "config.json"
+    if content is not None:
+        cfg.write_text(content)
+    argv = [command, "--config", str(cfg), "--out", str(tmp_path / "x.csv"), *[f"--set={s}" for s in sets]]
+    assert main(argv) == 1
+    assert message in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ([] if content is None else ["config.json"])
+
+
 # (command, assignment, message) for values of the wrong kind, now all
 # rejected at load; most used to run on a converted or partly dropped
 # value or exit 3, histogram_at=5 after writing the protocol CSV
@@ -813,5 +830,5 @@ def test_validate_command(tmp_path):
     code = main(["validate", "--set", "validate_fast=true", "--out", str(out)])
     assert code == 0
     text = out.read_text()
-    assert text.count("[PASS]") == 8
+    assert text.count("[PASS]") == 7
     assert "FAIL" not in text

@@ -4,7 +4,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
 
 from qbattery import (
     POWER_OFF,
@@ -22,6 +21,8 @@ from qbattery import (
 from qbattery.validate import (
     _rhs_factory,
     check_gamma_zero_reduction,
+    damped_superoperator,
+    exact_damped_evolution,
     joint_hamiltonian,
     joint_unitary,
     lindblad_rhs,
@@ -280,7 +281,10 @@ def random_battery(rng, dim, general):
     return BatteryState.from_matrix(rho / np.trace(rho).real)
 
 
-def test_integrate_matches_superoperator_exponential_on_random_sectors():
+def random_sector_cases():
+    """50 seeded (params, diss, tau, rho0): a random joint state, then
+    product states of random chargers, with or without coherence, and
+    random diagonal or general batteries."""
     rng = np.random.default_rng(7)
     for case in range(50):
         params = SystemParams(
@@ -290,7 +294,6 @@ def test_integrate_matches_superoperator_exponential_on_random_sectors():
         )
         diss = DissipationParams(*rng.uniform([0.0, 0.0, 0.0, 0.0], [1e-2, 1e-2, 2.0, 1.0]))
         tau = float(rng.uniform(0.5, 30.0))
-        dim = 2 * params.dim
         if case == 0:
             rho0 = random_joint_state(params, seed=case)
         else:
@@ -299,15 +302,28 @@ def test_integrate_matches_superoperator_exponential_on_random_sectors():
                                   c=float(rng.uniform()) if coherent else 0.0)
             battery = random_battery(rng, params.dim, general=bool(rng.integers(2)))
             rho0 = np.kron(charger.density_matrix(), battery.matrix)
+        yield params, diss, tau, rho0
+
+
+def test_integrate_matches_superoperator_exponential_on_random_sectors():
+    for case, (params, diss, tau, rho0) in enumerate(random_sector_cases()):
         k = np.add.outer(np.arange(2), np.arange(params.dim)).ravel()
         gaps = np.subtract.outer(k, k)
         outside = ~np.isin(gaps, gaps[rho0 != 0])
         assert np.all(lindblad_rhs(rho0, params, diss)[outside] == 0.0)
 
-        exact = (expm(dense_superoperator(params, diss) * tau) @ rho0.ravel()).reshape(dim, dim)
+        exact = exact_damped_evolution(rho0, params, diss, tau)
         evolved = integrate(rho0, tau, params, diss, rtol=1e-10, atol=1e-12)
         assert np.abs(evolved - exact).max() < 1e-8, case
         assert np.all(evolved[outside] == 0.0)
+
+
+def test_sparse_superoperator_is_the_dense_right_hand_side_on_random_sectors():
+    # ties the exact reference of every damped check to the textbook
+    # right-hand side, applied to each basis matrix
+    for case, (params, diss, _, _) in enumerate(random_sector_cases()):
+        sparse_form = damped_superoperator(params, diss).toarray()
+        assert np.abs(sparse_form - dense_superoperator(params, diss)).max() <= 1e-15, case
 
 
 def test_dissipative_protocol_builds_the_generator_once(monkeypatch):

@@ -1,6 +1,8 @@
 """Every setting the library rejects before any work raises SettingError,
 a ValueError; an invalid interval value, state or outcome does not."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -10,8 +12,13 @@ from qbattery import (
     NoChargingError,
     SettingError,
     SystemParams,
+    Trajectory,
     ZeroProbabilityError,
+    charge_discharge_populations,
+    coherence_population,
+    diagonal_fidelity,
     fock_state,
+    general_round,
     power_off_round,
     power_on_round,
     round_probability,
@@ -21,6 +28,7 @@ from qbattery import (
     thermal_state,
 )
 from qbattery.lindblad import DissipationParams, dissipative_protocol, integrate
+from qbattery.validate import block_oracle_deviation, kraus_set
 
 SMALL = SystemParams(n_levels=8, g=0.04, delta=0.02, beta=0.1)
 NO_DAMPING = DissipationParams(0.0, 0.0, 0.0, 0.0)
@@ -28,6 +36,7 @@ COHERENT = ChargerSpec(q=0.3, theta=1.2, c=1.0)
 STATE = thermal_state(SMALL)
 UNCOUPLED = SystemParams(n_levels=8, g=0.0, delta=0.02, beta=0.1)
 MIXED_JOINT = np.eye(2 * SMALL.dim) / (2 * SMALL.dim)
+PLUS = BatteryState.from_matrix(np.full((SMALL.dim, SMALL.dim), 1.0 / SMALL.dim))  # a state with coherences
 
 SETTING_MISTAKES = {
     "n_levels=0": lambda: SystemParams(n_levels=0, g=0.04),
@@ -43,13 +52,26 @@ SETTING_MISTAKES = {
     "general without charger": lambda: run_protocol(STATE, SMALL, "general", 2, "fixed", fixed_tau=1.0),
     "no closed form for general": lambda: round_probability(STATE, SMALL, "general", 1.0),
     "n_rounds=0": lambda: run_protocol(STATE, SMALL, "power_on", 0, "analytic"),
+    # a bool or a float is not a round count
+    "n_rounds=True": lambda: run_protocol(STATE, SMALL, "power_on", True, "analytic"),
+    "n_rounds=2.5": lambda: run_protocol(STATE, SMALL, "power_on", 2.5, "analytic"),
+    "damped n_rounds=True": lambda: dissipative_protocol(STATE, SMALL, NO_DAMPING, "power_on", True, "fixed",
+                                                         fixed_tau=1.0),
+    "damped n_rounds=2.5": lambda: dissipative_protocol(STATE, SMALL, NO_DAMPING, "power_on", 2.5, "fixed",
+                                                        fixed_tau=1.0),
     "unknown policy": lambda: run_protocol(STATE, SMALL, "power_on", 2, "bogus"),
     "fixed without fixed_tau": lambda: run_protocol(STATE, SMALL, "power_on", 2, "fixed"),
+    # nor a bool or a string an interval
+    "fixed_tau='8'": lambda: run_protocol(STATE, SMALL, "power_on", 2, "fixed", fixed_tau="8"),
+    "fixed_tau=True": lambda: run_protocol(STATE, SMALL, "power_on", 2, "fixed", fixed_tau=True),
+    "damped fixed_tau='8'": lambda: dissipative_protocol(STATE, SMALL, NO_DAMPING, "power_on", 2, "fixed",
+                                                         fixed_tau="8"),
     "general under analytic": lambda: run_protocol(STATE, SMALL, "general", 2, "analytic", charger=COHERENT),
     "numeric of general": lambda: run_protocol(STATE, SMALL, "general", 2, "numeric", charger=COHERENT),
     "x=0.5": lambda: run_protocol(STATE, SMALL, "power_off", 2, "power_off_compromise", x=0.5),
     "x=nan": lambda: run_protocol(STATE, SMALL, "power_off", 2, "power_off_compromise", x=float("nan")),
     "x=inf": lambda: run_protocol(STATE, SMALL, "power_off", 2, "power_off_compromise", x=float("inf")),
+    "x='10'": lambda: run_protocol(STATE, SMALL, "power_off", 2, "power_off_compromise", x="10"),
     "unknown objective": lambda: run_protocol(STATE, SMALL, "power_off", 2, "power_off_compromise",
                                               objective="bogus"),
     "general compromise": lambda: run_protocol(STATE, SMALL, "general", 2, "power_off_compromise",
@@ -83,6 +105,10 @@ NOT_SETTINGS = {
     "fixed_tau=-2": (ValueError, lambda: run_protocol(STATE, SMALL, "power_on", 2, "fixed", fixed_tau=-2.0)),
     "tau_max=-5": (ValueError, lambda: tau_opt_numeric(STATE, SMALL, tau_max=-5.0)),
     "grid_points=0": (ValueError, lambda: tau_opt_numeric(STATE, SMALL, grid_points=0)),
+    # a grid size that is not an integer is an invalid grid, as 0 is
+    "grid_points=True": (ValueError, lambda: tau_opt_numeric(STATE, SMALL, grid_points=True)),
+    "grid_points=2.5": (ValueError, lambda: run_protocol(STATE, SMALL, "power_off", 2, "power_off_compromise",
+                                                         grid_points=2.5)),
     "negative round interval": (ValueError, lambda: power_on_round(STATE, SMALL, -1.0)),
     "unnormalized state": (ValueError, lambda: BatteryState(np.array([0.5, 0.6]))),
     "non-square matrix": (ValueError, lambda: BatteryState.from_matrix(np.full((2, 3), 1 / 6))),
@@ -103,3 +129,41 @@ def test_interval_state_and_outcome_errors_are_not_setting_errors(case):
     with pytest.raises(error) as excinfo:
         call()
     assert not isinstance(excinfo.value, SettingError)
+
+
+# (error, message, call) for a wrong input that is neither a setting nor
+# an interval value: a shape, a kind of state, a ladder or an index
+INPUT_ERRORS = {
+    "integrate on a wrong shape": (ValueError, "expected a 18x18 matrix, got (4, 4)",
+                                   lambda: integrate(np.eye(4) / 4, 1.0, SMALL, NO_DAMPING)),
+    "named round of a general state": (ValueError, "power_on_round requires a diagonal state",
+                                       lambda: power_on_round(PLUS, SMALL, 1.0)),
+    "general round on another ladder": (ValueError, "state and params disagree on the ladder size",
+                                        lambda: general_round(fock_state(0, 5), COHERENT, SMALL, 1.0)),
+    "coherence of a general state": (ValueError, "coherence_population requires a diagonal state",
+                                     lambda: coherence_population(PLUS, COHERENT, SMALL, 1.0)),
+    "charge and discharge of a general state": (ValueError, "requires a diagonal state",
+                                                lambda: charge_discharge_populations(PLUS, COHERENT, SMALL, 1.0)),
+    "empty trajectory": (ValueError, "a trajectory needs at least one round",
+                         lambda: Trajectory((), 1.0, "power_on", SMALL, STATE)),
+    "cumulative probability off the product": (
+        ValueError, "cumulative probability is not the product of the rounds",
+        lambda: Trajectory((power_on_round(STATE, SMALL, 8.0),), 0.5, "power_on", SMALL, STATE),
+    ),
+    "populations that are not a vector": (ValueError, "populations must be a vector of length >= 2",
+                                          lambda: BatteryState(np.full((2, 2), 0.25))),
+    "Fock state off the ladder": (ValueError, "level 9 outside 0..8", lambda: fock_state(9, 8)),
+    "fidelity across ladders": (ValueError, "states live on different ladders",
+                                lambda: diagonal_fidelity(STATE, fock_state(0, 5))),
+    "Kraus set at a negative interval": (ValueError, "tau must be >= 0, got -1.0", lambda: kraus_set(SMALL, -1.0)),
+    "block off the ladder": (ValueError, "blocks are indexed by 1 <= n <= 8, got 0",
+                             lambda: block_oracle_deviation(SMALL, 0, 1.0)),
+}
+
+
+@pytest.mark.parametrize("case", INPUT_ERRORS)
+def test_a_wrong_input_raises_its_own_error(case):
+    error, message, call = INPUT_ERRORS[case]
+    with pytest.raises(error, match=re.escape(message)) as excinfo:
+        call()
+    assert excinfo.type is error
