@@ -11,8 +11,8 @@ injected by the measurement itself (power-off).
 The package provides the closed-form block amplitudes and the banded
 Kraus maps they induce, single rounds for arbitrary qubit preparation
 and measurement angle, measurement-interval schedulers, ergotropy
-diagnostics, a Lindblad integrator for damped rounds, and a CLI that
-emits CSV artifacts for each standard experiment. The dense Kraus
+diagnostics, an exact Lindblad propagator for damped rounds, and a CLI
+that emits CSV artifacts for each standard experiment. The dense Kraus
 operators, joint propagator and Lindblad right-hand side are oracles in
 ``qbattery.validate``.
 

@@ -26,12 +26,20 @@ restricted generator only on (params, diss, occupied gaps), so each is
 built once and cached read-only (``_liouvillian``, ``_band``); so are
 the support's index maps, which let the Hermiticity and trace checks
 and the symmetrization run on the solved vector. The elements left out
-stay exactly zero, as they do in a dense solve. The adaptive solver's
-error norm is an RMS over the solved vector, so the tolerances are
-scaled by sqrt(total / solved); that reproduces the error norm, and so
-the step sequence, of a solve over all elements, whose left-out entries
-contribute exact zeros. The dense right-hand side and the dense qubit
-projection are oracles in ``qbattery.validate``.
+stay exactly zero, as they do in a dense solve.
+
+The band is propagated by the action of the exponential, exp(tau G) y,
+as Al-Mohy & Higham's truncated Taylor series (SIAM J. Sci. Comput. 33,
+488 (2011), Algorithm 3.2): shifted by mu = tr(G)/n, in s steps of a
+degree-m polynomial, with (m, s) chosen from ||G - mu I||_1 tau and the
+published theta_m table so that each step meets the unit roundoff in
+backward error, and each step's series cut once two terms in a row fall
+below the unit roundoff of the sum. Each band caches mu and the norm, so
+a round computes no norm; it costs only sparse products with the band
+generator and elementwise sums, so its bytes do not depend on the BLAS
+thread count. The dense right-hand side, the dense qubit projection and
+the exact exponential of the whole generator are oracles in
+``qbattery.validate``.
 
 The same symmetry makes the positivity check cheap where it matters.
 A state whose only occupied gap is 0 (every power-on and power-off
@@ -49,6 +57,7 @@ clipping, and keeps that spectrum.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import gc
 import math
@@ -58,7 +67,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
-from scipy.integrate import solve_ivp
+from scipy.integrate import OdeSolver, solve_ivp
 
 from .propagator import ZERO_PROBABILITY_ATOL, ZeroProbabilityError, _check_interval
 from .rounds import RoundRecord, _scheme_charger
@@ -70,9 +79,17 @@ from .states import (
 HERMITICITY_ATOL = 1e-10
 TRACE_ATOL = 1e-8
 POSITIVITY_ATOL = 1e-8
-# 100 machine epsilons: solve_ivp raises a smaller rtol to this floor, with
-# a warning; integrate scales the tolerance up, never down
-_RTOL_FLOOR = 100 * 2.0**-52
+# theta_m of Al-Mohy & Higham (2011), Table 3.1, for the unit roundoff
+# 2^-53: a Taylor step of degree m and length h meets it in backward
+# error while ||h (G - mu I)||_1 <= theta_m
+_TAYLOR_DEGREES = np.array([*range(1, 31), 35, 40, 45, 50, 55])
+_TAYLOR_THETAS = np.array([
+    2.29e-16, 2.58e-08, 1.39e-05, 3.4e-04, 2.4e-03, 9.07e-03, 2.38e-02, 5.0e-02, 8.96e-02, 0.144,
+    0.214, 0.3, 0.4, 0.514, 0.641, 0.781, 0.931, 1.09, 1.26, 1.44,
+    1.62, 1.82, 2.01, 2.22, 2.43, 2.64, 2.86, 3.08, 3.31, 3.54,
+    4.7, 6.0, 7.2, 8.5, 9.9,
+])
+_UNIT_ROUNDOFF = 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -218,20 +235,25 @@ class _Band(NamedTuple):
     partner: np.ndarray  # position in ``index`` of each element's transpose
     diag: np.ndarray  # positions in ``index`` of the diagonal elements
     generator: sparse.csr_matrix
+    shift: complex  # mu = tr(generator) / n
+    norm: float  # ||generator - mu I||_1
 
 
 @functools.lru_cache(maxsize=4)
 def _band(params: SystemParams, diss: DissipationParams, gaps: tuple[int, ...]) -> _Band:
     """The support of the excitation gaps ``gaps`` (a sorted tuple closed
-    under negation), its index maps and ``_restricted`` on it, built once
-    per (params, diss, gaps); every array is read-only because every
-    round on the same support shares them."""
+    under negation), its index maps, ``_restricted`` on it and the shift
+    and norm that ``_TaylorAction`` steps by, built once per (params,
+    diss, gaps); every array is read-only because every round on the
+    same support shares them."""
     n = 2 * params.dim
     index = np.flatnonzero(np.isin(_excitation_gaps(params.dim), gaps))
     row, col = np.divmod(index, n)
     partner = np.searchsorted(index, col * n + row)
     generator = _restricted(_liouvillian(params, diss), index)
-    band = _Band(index, partner, np.flatnonzero(row == col), generator)
+    shift = complex(generator.diagonal().sum()) / index.size
+    norm = float(abs(generator - shift * sparse.identity(index.size, format="csr")).sum(axis=0).max())
+    band = _Band(index, partner, np.flatnonzero(row == col), generator, shift, norm)
     for array in band[:3] + (generator.data, generator.indices, generator.indptr):
         array.flags.writeable = False
     return band
@@ -262,15 +284,54 @@ def _positivity_violation(rho: np.ndarray, dim: int, sector: bool) -> float | No
     return _psd_violation(rho, POSITIVITY_ATOL)
 
 
-def _check_tolerances(rtol: float, atol: float) -> None:
-    """Both solver tolerances are finite and > 0, and ``rtol`` is at least
-    ``_RTOL_FLOOR``, below which the solver would raise it silently."""
-    for name, value in (("rtol", rtol), ("atol", atol)):
-        if not (math.isfinite(value) and value > 0.0):
-            raise SettingError(f"{name} must be finite and > 0, got {value}")
-    if rtol < _RTOL_FLOOR:
-        raise SettingError(f"rtol must be >= {_RTOL_FLOOR!r} (100 machine epsilons, the solver's floor), "
-                           f"got {rtol}")
+def _taylor_steps(norm: float) -> tuple[int, int]:
+    """The degree m and step count s of a Taylor action over an interval
+    h with ||h (G - mu I)||_1 = ``norm``: the pair of least cost m s with
+    norm / s <= theta_m (Al-Mohy & Higham's code fragment 3.1, from the
+    1-norm alone), and (0, 1) for a zero norm."""
+    if norm == 0.0:
+        return 0, 1
+    steps = np.ceil(norm / _TAYLOR_THETAS)
+    best = int(np.argmin(_TAYLOR_DEGREES * steps))
+    return int(_TAYLOR_DEGREES[best]), int(steps[best])
+
+
+class _TaylorAction(OdeSolver):
+    """The solution exp(h G) y0 of a linear, autonomous right-hand side
+    fun(t, y) = G y, in one solver step over the whole interval h, by
+    Al-Mohy & Higham's truncated Taylor series (Algorithm 3.2 of SIAM
+    J. Sci. Comput. 33, 488 (2011)) of the shifted generator G - mu I,
+    whose ``shift`` mu and 1-norm ``norm`` are given. ``nfev`` counts the
+    products with G; ``solve_ivp(..., method=_TaylorAction, shift=...,
+    norm=...)`` runs it."""
+
+    def __init__(self, fun, t0, y0, t_bound, vectorized, shift: complex, norm: float):
+        super().__init__(fun, t0, y0, t_bound, vectorized, support_complex=True)
+        self.shift, self.norm = shift, norm
+
+    def _step_impl(self):
+        h = self.t_bound - self.t
+        degree, steps = _taylor_steps(self.norm * abs(h))
+        h /= steps
+        growth = cmath.exp(self.shift * h)
+        y = self.y
+        for _ in range(steps):
+            total, term = y.copy(), y
+            before = np.abs(term).max()
+            for j in range(1, degree + 1):
+                product = self.fun(self.t, term)
+                product -= self.shift * term
+                product *= h / j
+                term = product
+                total += term
+                after = np.abs(term).max()
+                if before + after <= _UNIT_ROUNDOFF * np.abs(total).max():
+                    break
+                before = after
+            total *= growth
+            y = total
+        self.t, self.y = self.t_bound, y
+        return True, None
 
 
 def integrate(
@@ -278,27 +339,22 @@ def integrate(
     tau: float,
     params: SystemParams,
     diss: DissipationParams,
-    rtol: float = 1e-7,
-    atol: float = 1e-9,
 ) -> np.ndarray:
-    """Propagate the joint state over one interval with the adaptive
-    embedded Runge-Kutta scheme DOP853.
+    """Propagate the joint state over one interval by the action of the
+    exponential of the generator (``_TaylorAction``).
 
     Takes and returns a dense joint matrix, but gathers from it only
     the excitation-gap bands that it occupies (with their transposes)
-    and integrates those, with ``rtol`` and ``atol`` scaled so that the
-    error norm equals that of a solve over every element.
+    and propagates those.
 
     Every call measures the Hermiticity and trace drifts on the solved
     vector, which is then re-symmetrized and scattered once into the
     result; drifts in Hermiticity, trace, or positivity beyond their
     tolerances raise a warning rather than an error, since they signal
-    tolerance starvation, not a wrong model. Positivity is checked per
+    an unphysical input, not a wrong model. Positivity is checked per
     excitation block when gap 0 is the only occupied gap, else by a
-    Cholesky factor. ``tau`` must be finite and >= 0; tolerances outside
-    ``_check_tolerances`` raise SettingError.
+    Cholesky factor. ``tau`` must be finite and >= 0.
     """
-    _check_tolerances(rtol, atol)
     rho0 = np.asarray(rho0, dtype=complex)
     expected = 2 * params.dim
     if rho0.shape != (expected, expected):
@@ -314,18 +370,13 @@ def integrate(
         raise ValueError("the joint state has no occupied element")
     occupied = np.unique(_excitation_gaps(params.dim)[nonzero])
     band = _band(params, diss, tuple(np.union1d(occupied, -occupied).tolist()))
-    scale = math.sqrt(flat0.size / band.index.size)
-    sol = solve_ivp(
-        lambda t, y: band.generator @ y, (0.0, tau), flat0[band.index], method="DOP853",
-        rtol=rtol * scale, atol=atol * scale, dense_output=False,
-    )
+    sol = solve_ivp(lambda t, y: band.generator @ y, (0.0, tau), flat0[band.index],
+                    method=_TaylorAction, shift=band.shift, norm=band.norm)
     # scipy's solver holds a reference cycle (its counting wrapper of the
-    # right-hand side closes over it), so its stage arrays, 0.2 MB at
-    # N=100, would outlive the call until some later collection; it is
-    # still young here, and collecting the young generations frees it
+    # right-hand side closes over it), so its arrays would outlive the
+    # call until some later collection; it is still young here, and
+    # collecting the young generations frees it
     gc.collect(1)
-    if not sol.success:
-        raise RuntimeError(f"integration failed: {sol.message}")
     y = sol.y[:, -1]
     transposed = y[band.partner].conj()
     herm = np.abs(y - transposed).max()
@@ -370,8 +421,6 @@ def dissipative_protocol(
     charger: ChargerSpec | None = None,
     fixed_tau: float | None = None,
     tau_schedule=None,
-    rtol: float = 1e-9,
-    atol: float = 1e-12,
 ) -> Trajectory:
     """Multi-round charging with open-system evolution between measurements.
 
@@ -383,12 +432,7 @@ def dissipative_protocol(
     closed-system run so the two are directly comparable). An unknown
     scheme or policy, or a missing input, raises SettingError before any
     round runs.
-
-    Tolerances default tighter than bare ``integrate`` so the spectral
-    dust after a few hundred levels stays inside the positivity budget;
-    ``integrate`` rejects them, here before the first round.
     """
-    _check_tolerances(rtol, atol)
     qubit_spec = _scheme_charger(scheme, charger)
     choose_tau = _interval_chooser(
         interval_policy, scheme, params, n_rounds, DAMPED_POLICIES,
@@ -405,7 +449,7 @@ def dissipative_protocol(
 
     def take_round(state, tau):
         np.multiply(rho_c[:, None, :, None], state.matrix[:, None, :], out=joint)
-        evolved = integrate(joint.reshape(2 * params.dim, -1), tau, params, diss, rtol=rtol, atol=atol)
+        evolved = integrate(joint.reshape(2 * params.dim, -1), tau, params, diss)
         battery, prob = _project_qubit(evolved, phi, params.dim)
         if prob < ZERO_PROBABILITY_ATOL:
             raise ZeroProbabilityError(f"outcome probability {prob:.3e}")

@@ -57,7 +57,7 @@ _WRONG_KINDS = [
     ("interval_sweep", "sweep.tau_points=abc", "sweep.tau_points must be an integer, got 'abc'"),
     ("interval_sweep", 'sweep.m_values=["x"]', "sweep.m_values must be a list, each an integer, got ['x']"),
     ("histograms", "schedule.n_rounds=abc", "schedule.n_rounds must be an integer, got 'abc'"),
-    ("lindblad", "dissipation.rtol=abc", "dissipation.rtol must be a number, got 'abc'"),
+    ("lindblad", "dissipation.gamma_b=abc", "dissipation.gamma_b must be a number, got 'abc'"),
     ("power_on", "params=5", "'params' must be a table"),
     ("power_on", "params.beta=hot", "params.beta must be a number, got 'hot'"),
     ("power_on", "schedule.fixed_tau=true", "schedule.fixed_tau must be a number, got True"),
@@ -146,14 +146,9 @@ def test_non_finite_damping_fails_the_run(tmp_path, capsys, assignment):
     ("dissipation.gamma_c=-0.5", "damping rates must be >= 0"),
     ("dissipation.nbar_th=-1", "bath occupations must be >= 0"),
     ("dissipation.nbar_th_c=-0.1", "bath occupations must be >= 0"),
-    # these five used to exit 0 at scipy's clamped rtol, run for minutes or exit 3
-    ("dissipation.rtol=-1", "rtol must be finite and > 0, got -1.0"),
-    ("dissipation.rtol=0", "rtol must be finite and > 0, got 0.0"),
-    ("dissipation.rtol=NaN", "rtol must be finite and > 0, got nan"),
-    ("dissipation.atol=0", "atol must be finite and > 0, got 0.0"),
-    ("dissipation.atol=-1", "atol must be finite and > 0, got -1.0"),
-    # scipy raised this to its floor with a warning, and the sidecar kept 1e-20
-    ("dissipation.rtol=1e-20", "rtol must be >= 2.220446049250313e-14"),
+    # the exact propagator has no solver tolerances, so these keys are gone
+    ("dissipation.rtol=1e-9", "unknown config key 'dissipation.rtol'"),
+    ("dissipation.atol=1e-12", "unknown config key 'dissipation.atol'"),
 ])
 def test_invalid_damping_is_a_config_error(tmp_path, capsys, assignment, message):
     # the same kind of mistake as in params: exit 1, not a runtime error
@@ -163,29 +158,6 @@ def test_invalid_damping_is_a_config_error(tmp_path, capsys, assignment, message
     assert main(argv) == 1
     assert f"config error: {message}" in capsys.readouterr().err
     assert not out.exists()
-
-
-def test_a_bad_tolerance_is_reported_before_a_mirrored_closed_run_fails(tmp_path, capsys):
-    # the damped power-off run mirrors a closed run, which fails at round 1
-    # on a ground state; the config error must not turn into its exit 3
-    out = tmp_path / "x.csv"
-    argv = ["lindblad", "--out", str(out), "--set", "params.n_levels=8", "--set", "params.beta=inf",
-            "--set", "schedule.scheme=power_off", "--set", "dissipation.rtol=0"]
-    assert main(argv) == 1
-    assert "config error: rtol must be finite and > 0, got 0.0" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_rtol_at_the_solver_floor_runs_without_a_warning(tmp_path):
-    import warnings
-
-    from qbattery.lindblad import _RTOL_FLOOR
-
-    argv = ["lindblad", "--out", str(tmp_path / "x.csv"), "--set", "params.n_levels=4",
-            "--set", "schedule.n_rounds=1", "--set", f"dissipation.rtol={_RTOL_FLOOR!r}"]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert main(argv) == 0
 
 
 @pytest.mark.parametrize("tau", ["NaN", "Infinity", "-1"])
@@ -667,10 +639,10 @@ def test_closed_system_run_loads_no_scipy(tmp_path):
     }
 
 
-# The closed-system commands at N = 100, where the 400 x 101 grid product
-# of the interval optimizer is large enough for OpenBLAS to thread. The
-# damped lindblad command is left out: its bytes do depend on the thread
-# count (CHANGES.md line 48, a FOUND line; ROADMAP item 9).
+# Every command: the closed-system ones at N = 100, where the 400 x 101
+# grid product of the interval optimizer is large enough for OpenBLAS to
+# thread, and the damped ones, whose propagation is sparse products and
+# elementwise sums and whose positivity check is a Cholesky factor.
 _THREADED_CALLS = [
     ("sweep", "sweep_theta_q", ["sweep.theta_points=5", "sweep.q_points=4"]),
     ("interval", "interval_sweep", ["sweep.tau_points=20", "sweep.m_values=[1,3]"]),
@@ -679,6 +651,10 @@ _THREADED_CALLS = [
     ("coherent", "histograms", ["schedule.scheme=general", "schedule.policy=fixed", "schedule.fixed_tau=8.0",
                                 "charger.q=0.3", "charger.theta=1.2", "charger.c=1.0", "schedule.n_rounds=3",
                                 "schedule.histogram_at=[0,3]"]),
+    ("damped_on", "lindblad", ["schedule.n_rounds=3"]),
+    ("damped_off", "lindblad", ["schedule.scheme=power_off", "schedule.n_rounds=2"]),
+    ("damped_general", "lindblad", ["schedule.scheme=general", "schedule.policy=fixed", "schedule.fixed_tau=8.0",
+                                    "charger.q=0.3", "charger.theta=1.2", "charger.c=1.0", "schedule.n_rounds=1"]),
 ]
 
 _THREADED_RUN = """
@@ -694,10 +670,11 @@ for label, command, sets in json.loads(sys.argv[2]):
 """
 
 
-def test_closed_system_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
-    # the grid's weights @ columns and the refinement's Taylor table @
-    # columns are BLAS products; their sums must not change with the
-    # number of threads that split them
+def test_output_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # the grid's weights @ columns, the refinement's Taylor table @
+    # columns and a coherent damped round's eigh and rebuilt post state
+    # are BLAS calls; their results must not change with the number of
+    # threads that split them
     import qbattery
 
     src = str(Path(qbattery.__file__).resolve().parent.parent)
@@ -710,7 +687,8 @@ def test_closed_system_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
         subprocess.run([sys.executable, "-c", _THREADED_RUN, str(out), json.dumps(_THREADED_CALLS)],
                        env=env, cwd=tmp_path, capture_output=True, text=True, check=True)
         outputs[threads] = {path.name: path.read_bytes() for path in out.iterdir()}
-    assert len(outputs["1"]) == 9  # 3 single-CSV calls, and 2 protocol runs with histograms and metadata
+    # 3 single-CSV calls, 2 protocol runs with histograms and metadata, 3 damped runs with metadata
+    assert len(outputs["1"]) == 15
     assert outputs["1"] == outputs["2"]
 
 

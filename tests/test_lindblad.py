@@ -104,7 +104,7 @@ def test_integrate_gamma_zero_matches_unitary_conjugation():
     rho = np.kron(
         np.diag([0.0, 1.0]).astype(complex), thermal_state(params).matrix
     )
-    evolved = integrate(rho, 8.0, params, NO_DAMPING, rtol=1e-10, atol=1e-12)
+    evolved = integrate(rho, 8.0, params, NO_DAMPING)
     u = joint_unitary(params, 8.0)
     exact = u @ rho @ u.conj().T
     assert np.abs(evolved - exact).max() < 1e-8
@@ -214,7 +214,6 @@ def test_dissipative_protocol_reduces_to_closed_system():
     closed = run_protocol(thermal_state(SMALL), SMALL, "power_on", 5, "analytic")
     damped = dissipative_protocol(
         thermal_state(SMALL), SMALL, NO_DAMPING, "power_on", 5, "analytic",
-        rtol=1e-10, atol=1e-12,
     )
     for a, b in zip(closed.rounds, damped.rounds):
         assert b.thermo.energy == pytest.approx(a.thermo.energy, abs=1e-8)
@@ -243,7 +242,7 @@ def test_dissipative_protocol_with_fixed_schedule():
     closed = run_protocol(thermal_state(SMALL), SMALL, "power_on", 3, "analytic")
     damped = dissipative_protocol(
         thermal_state(SMALL), SMALL, NO_DAMPING, "power_on", 3, "schedule",
-        tau_schedule=list(closed.taus()), rtol=1e-10, atol=1e-12,
+        tau_schedule=list(closed.taus()),
     )
     assert np.allclose(damped.taus(), closed.taus())
     with pytest.raises(ValueError):
@@ -258,7 +257,7 @@ def test_dissipative_protocol_power_off_scheme():
     )
     damped = dissipative_protocol(
         thermal_state(SMALL), SMALL, NO_DAMPING, "power_off", 3, "schedule",
-        tau_schedule=list(closed.taus()), rtol=1e-10, atol=1e-12,
+        tau_schedule=list(closed.taus()),
     )
     for a, b in zip(closed.rounds, damped.rounds):
         assert b.thermo.energy == pytest.approx(a.thermo.energy, abs=1e-7)
@@ -306,15 +305,24 @@ def random_sector_cases():
 
 
 def test_integrate_matches_superoperator_exponential_on_random_sectors():
-    for case, (params, diss, tau, rho0) in enumerate(random_sector_cases()):
+    import qbattery.lindblad as lindblad
+
+    # beyond the seeded cases: an interval that takes 14 Taylor steps of
+    # degree 55, and an undamped one
+    long_case = (SystemParams(n_levels=12, g=0.2, delta=-0.1), DissipationParams(1e-2, 1e-2, 2.0, 1.0), 60.0)
+    undamped = (SystemParams(n_levels=6, g=0.1, delta=0.05), NO_DAMPING, 20.0)
+    every_gap = lindblad._band(long_case[0], long_case[1], tuple(range(-13, 14)))
+    assert lindblad._taylor_steps(every_gap.norm * long_case[2])[1] >= 3
+    extra = [(params, diss, tau, random_joint_state(params, seed=1)) for params, diss, tau in (long_case, undamped)]
+    for case, (params, diss, tau, rho0) in enumerate([*random_sector_cases(), *extra]):
         k = np.add.outer(np.arange(2), np.arange(params.dim)).ravel()
         gaps = np.subtract.outer(k, k)
         outside = ~np.isin(gaps, gaps[rho0 != 0])
         assert np.all(lindblad_rhs(rho0, params, diss)[outside] == 0.0)
 
         exact = exact_damped_evolution(rho0, params, diss, tau)
-        evolved = integrate(rho0, tau, params, diss, rtol=1e-10, atol=1e-12)
-        assert np.abs(evolved - exact).max() < 1e-8, case
+        evolved = integrate(rho0, tau, params, diss)
+        assert np.abs(evolved - exact).max() < 1e-12, case
         assert np.all(evolved[outside] == 0.0)
 
 

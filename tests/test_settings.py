@@ -35,7 +35,6 @@ NO_DAMPING = DissipationParams(0.0, 0.0, 0.0, 0.0)
 COHERENT = ChargerSpec(q=0.3, theta=1.2, c=1.0)
 STATE = thermal_state(SMALL)
 UNCOUPLED = SystemParams(n_levels=8, g=0.0, delta=0.02, beta=0.1)
-MIXED_JOINT = np.eye(2 * SMALL.dim) / (2 * SMALL.dim)
 PLUS = BatteryState.from_matrix(np.full((SMALL.dim, SMALL.dim), 1.0 / SMALL.dim))  # a state with coherences
 
 SETTING_MISTAKES = {
@@ -86,11 +85,6 @@ SETTING_MISTAKES = {
     "analytic interval at g=0": lambda: tau_opt_analytic(STATE, UNCOUPLED),
     "default span at g=0": lambda: tau_opt_numeric(STATE, UNCOUPLED),
     "damped analytic at g=0": lambda: dissipative_protocol(STATE, UNCOUPLED, NO_DAMPING, "power_on", 2),
-    "damped rtol below the floor": lambda: dissipative_protocol(STATE, SMALL, NO_DAMPING, "power_on", 2,
-                                                                rtol=1e-20),
-    "damped atol=nan": lambda: dissipative_protocol(STATE, SMALL, NO_DAMPING, "power_on", 2, atol=float("nan")),
-    "integrate atol=0": lambda: integrate(MIXED_JOINT, 1.0, SMALL, NO_DAMPING, atol=0.0),
-    "integrate rtol=-1": lambda: integrate(MIXED_JOINT, 1.0, SMALL, NO_DAMPING, rtol=-1.0),
 }
 
 
