@@ -26,7 +26,9 @@ restricted generator only on (params, diss, occupied gaps), so each is
 built once and cached read-only (``_liouvillian``, ``_band``); so are
 the support's index maps, which let the Hermiticity and trace checks
 and the symmetrization run on the solved vector. The elements left out
-stay exactly zero, as they do in a dense solve.
+stay exactly zero, as they do in a dense solve, and so through each
+measurement: ``from_matrix`` leaves every zero element of the projected
+battery state zero.
 
 The band is propagated by the action of the exponential, exp(tau G) y,
 as Al-Mohy & Higham's truncated Taylor series (SIAM J. Sci. Comput. 33,
@@ -50,9 +52,7 @@ eigenvalue is the smallest of N+2 closed forms, O(N). Wider supports
 factor of the whole joint state that ``states._psd_violation`` also
 runs for every general ``BatteryState``; a NaN fails both routes. Both
 report a violation the same way, and only a violation is diagonalized
-(``eigvalsh``, to word the warning). A damped general round's battery
-state is diagonalized once, by the ``eigh`` of ``from_matrix``'s
-clipping, and keeps that spectrum.
+(``eigvalsh``, to word the warning).
 """
 
 from __future__ import annotations
@@ -453,7 +453,7 @@ def dissipative_protocol(
         battery, prob = _project_qubit(evolved, phi, params.dim)
         if prob < ZERO_PROBABILITY_ATOL:
             raise ZeroProbabilityError(f"outcome probability {prob:.3e}")
-        post = BatteryState.from_matrix(battery / prob, clip=POSITIVITY_ATOL)
+        post = BatteryState.from_matrix(battery / prob)
         return RoundRecord(post, prob, tau, scheme)
 
     return _drive(initial, params, scheme, n_rounds, choose_tau, take_round, ZeroProbabilityError)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import KW_ONLY, InitVar, dataclass, field
+from dataclasses import KW_ONLY, dataclass, field
 
 import numpy as np
 
@@ -120,18 +120,16 @@ class BatteryState:
     positivity was checked on (one Cholesky factor, no diagonalization),
     with the populations on its diagonal, and ``matrix`` returns it.
     ``spectrum`` holds the eigenvalues, read-only: the populations of a
-    diagonal state, the cleaned eigenvalues that ``from_matrix(clip>0)``
-    hands over, and otherwise the ascending ``eigvalsh`` of the matrix,
-    computed on first read and at most once.
+    diagonal state, and otherwise the ascending ``eigvalsh`` of the
+    matrix, computed on first read and at most once.
     """
 
     populations: np.ndarray
     _: KW_ONLY
-    # ``from_matrix`` hands over a general state's matrix, which it owns, and any spectrum it computed
+    # ``from_matrix`` hands over a general state's matrix, which it owns
     _rho: np.ndarray | None = field(default=None, repr=False)
-    _spectrum: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self, _spectrum):
+    def __post_init__(self):
         p = np.asarray(self.populations, dtype=float)
         if p.ndim != 1 or p.size < 2:
             raise ValueError("populations must be a vector of length >= 2")
@@ -159,11 +157,6 @@ class BatteryState:
         rho += 0.0
         rho.flags.writeable = False
         object.__setattr__(self, "_rho", rho)
-        if _spectrum is not None:
-            # clipped to >= 0 by ``from_matrix``, so positive without a check
-            _spectrum.flags.writeable = False
-            self.__dict__["spectrum"] = _spectrum
-            return
         lowest = _psd_violation(rho, PSD_ATOL)
         if lowest is not None:
             raise ValueError(f"state is not positive semidefinite (min eig {lowest:.3e})")
@@ -180,20 +173,12 @@ class BatteryState:
         return cls(np.asarray(populations, dtype=float))
 
     @classmethod
-    def from_matrix(cls, rho: np.ndarray, clip: float = 0.0) -> "BatteryState":
+    def from_matrix(cls, rho: np.ndarray) -> "BatteryState":
         """Build a state from a square density matrix, Hermitian within
         ``HERM_ATOL`` and symmetrized before use, snapping to diagonal form
-        when all off-diagonal elements are below ``DIAG_ATOL``.
-
-        Without ``clip`` a general input is checked by the one Cholesky
-        factor of ``BatteryState`` and not diagonalized. ``clip`` > 0
-        tolerates and removes spectral dust down to -clip (integrator
-        output): a general input is diagonalized once, by ``eigh``, and
-        the cleaned state is renormalized, is the Hermitian matrix of its
-        upper triangle and keeps the cleaned eigenvalues as its spectrum.
-        A diagonal input is its own spectrum and is cleaned without a
-        diagonalization: by Weyl's bound ``eigh`` would move it by at most
-        (N+1) DIAG_ATOL, and its result would snap back to diagonal form.
+        when all off-diagonal elements are below ``DIAG_ATOL``. A general
+        input is checked by the one Cholesky factor of ``BatteryState``
+        and not diagonalized.
         """
         rho = np.asarray(rho, dtype=complex)
         if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or rho.shape[0] < 2:
@@ -203,26 +188,9 @@ class BatteryState:
             raise ValueError(f"matrix is not Hermitian within {HERM_ATOL} (drift {drift:.3e})")
         rho = 0.5 * (rho + rho.conj().T)
         pops = np.real(np.diag(rho))
-        diagonal = np.abs(rho - np.diag(pops)).max() <= DIAG_ATOL  # its diagonal is real
-        spectrum = None
-        if clip > 0.0:
-            spectrum, vecs = (pops, None) if diagonal else np.linalg.eigh(rho)
-            if not spectrum.min() >= -clip:
-                raise ValueError(
-                    f"eigenvalue {spectrum.min():.3e} below the -{clip} clipping threshold"
-                )
-            spectrum = np.clip(spectrum, 0.0, None)
-            spectrum /= spectrum.sum()
-            if diagonal:
-                return cls(spectrum)
-            rho = (vecs * spectrum) @ vecs.conj().T
-            pops = np.real(np.diag(rho))
-            rho = np.triu(rho, k=1)
-            rho += rho.conj().T
-            diagonal = np.abs(rho).max() <= DIAG_ATOL
-        if diagonal:
+        if np.abs(rho - np.diag(pops)).max() <= DIAG_ATOL:  # its diagonal is real
             return cls(pops)
-        return cls(pops, _rho=rho, _spectrum=spectrum)
+        return cls(pops, _rho=rho)
 
     @property
     def n_levels(self) -> int:

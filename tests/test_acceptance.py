@@ -342,7 +342,7 @@ def test_criterion_10_open_system_robustness():
     )
     assert report(
         "10", ok,
-        f"gamma=0 reduction {reduction.max_deviation:.1e} (tol 1e-8); energy "
+        f"gamma=0 reduction {reduction.max_deviation:.1e} (tol {reduction.tolerance:.0e}); energy "
         f"deviations {deviations[0]:.2e} < {deviations[1]:.2e} < {deviations[2]:.2e}; "
         f"gamma=1e-4 relative deviation {relative:.3f} < 0.15; {elapsed:.0f}s",
     )

@@ -7,14 +7,15 @@ stored outputs pin the physics across refactors of the round kernel,
 the interval optimizers and the protocol drivers.
 
 Regenerate the stored outputs (only after a change that is meant to move
-them) with::
+them), naming the cases to rewrite, or none to rewrite them all, with::
 
-    PYTHONPATH=src python tests/test_cli_golden.py
+    PYTHONPATH=src python tests/test_cli_golden.py [case ...]
 """
 
 import json
 import math
 import shutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -122,8 +123,12 @@ def test_cli_output_matches_golden(case, tmp_path):
     assert not problems, "\n".join(problems[:20])
 
 
-def regenerate() -> None:
-    for case in sorted(CASES):
+def regenerate(cases: list[str]) -> None:
+    """Rewrite the stored outputs of ``cases``, or of every case when it is empty."""
+    unknown = sorted(set(cases) - set(CASES))
+    if unknown:
+        sys.exit(f"unknown golden cases {unknown}; known: {sorted(CASES)}")
+    for case in cases or sorted(CASES):
         out_dir = GOLDEN / case
         shutil.rmtree(out_dir, ignore_errors=True)
         out_dir.mkdir(parents=True)
@@ -132,4 +137,4 @@ def regenerate() -> None:
 
 
 if __name__ == "__main__":
-    regenerate()
+    regenerate(sys.argv[1:])

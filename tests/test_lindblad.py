@@ -634,15 +634,30 @@ def test_a_general_round_is_diagonalized_once(linalg_calls):
 
 
 def test_a_damped_general_round_is_diagonalized_once(linalg_calls):
-    # the clipping eigh hands its spectrum to the post state, so reading
-    # the ergotropy diagonalizes nothing more
+    # one Cholesky factor in integrate's wide-support check and one in
+    # the post state's, then one eigvalsh on the first ergotropy read, kept
     params = SystemParams(n_levels=20, g=0.04, delta=0.02, beta=0.1)
     diss = DissipationParams.thermal(params, gamma_b=1e-3)
     damped = dissipative_protocol(thermal_state(params), params, diss, "general", 1, "fixed",
                                   charger=COHERENT, fixed_tau=8.0)
     assert not damped.rounds[0].post_state.is_diagonal
-    assert damped.rounds[0].thermo.ergotropy > 0.0
-    assert linalg_calls == Counter(eigh=1, cholesky=1)
+    assert linalg_calls == Counter(cholesky=2)
+    for _ in range(2):
+        assert damped.rounds[0].thermo.ergotropy > 0.0
+        assert linalg_calls == Counter(cholesky=2, eigvalsh=1)
+
+
+def test_a_damped_general_run_stays_on_its_excitation_gaps():
+    # the coherent charger's gaps -1, 0, 1 widen the battery's coherences
+    # by two levels a round; every element beyond them stays exactly zero
+    params = SystemParams(n_levels=30, g=0.04, delta=0.02, beta=0.1)
+    diss = DissipationParams.thermal(params, gamma_b=1e-3)
+    damped = dissipative_protocol(thermal_state(params), params, diss, "general", 18, "fixed",
+                                  charger=replace(COHERENT, c=0.95), fixed_tau=8.0)
+    level = np.arange(params.dim)
+    distance = np.abs(np.subtract.outer(level, level))
+    widest = [distance[rec.post_state.matrix != 0].max() for rec in damped.rounds]
+    assert widest == [min(2 * m, params.n_levels) for m in range(1, 19)]
 
 
 @pytest.mark.parametrize("build", ["from_matrix", "negative_zero", "general_round", "damped_general_round"])

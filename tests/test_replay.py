@@ -125,8 +125,8 @@ def _replay(params: SystemParams, diss: DissipationParams, charger: ChargerSpec,
 
 def _energetics(battery, params: SystemParams):
     """Energy, ergotropy, mean and variance of a battery matrix; its
-    spectrum must be nonnegative, so that ``from_matrix``'s clipping has
-    nothing to remove."""
+    spectrum must be positive, so that ``passive_state``'s clip at zero
+    has nothing to remove."""
     dim = params.dim
     pops = [mpmath.re(battery[n][n]) for n in range(dim)]
     mean = mpmath.fsum(n * p for n, p in enumerate(pops))

@@ -292,11 +292,6 @@ def test_general_state_positivity_is_decided_at_the_tolerance(lowest, passes):
     else:
         with pytest.raises(ValueError, match=r"min eig -2\.000e-10"):
             BatteryState.from_matrix(rho)
-    # clipping tolerates the dust it is given and names its own threshold otherwise
-    assert BatteryState.from_matrix(rho, clip=1e-8).spectrum.min() == 0.0
-    if not passes:
-        with pytest.raises(ValueError, match="clipping threshold"):
-            BatteryState.from_matrix(rho, clip=1e-10)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, complex(0.0, math.nan), complex(math.inf, 1.0)])
@@ -315,15 +310,12 @@ def test_a_non_finite_element_anywhere_fails_the_positivity_test(value):
 
 def test_a_rebuilt_state_never_reads_a_stale_spectrum():
     rng = np.random.default_rng(12)
-    # integrator-like dust: one eigenvalue just below zero, which clipping removes
+    # one eigenvalue just below zero, within PSD_ATOL, so the state is accepted as it is
     vals, vecs = np.linalg.eigh(random_density_matrix(rng, 5))
-    vals[0] = -5e-9
+    vals[0] = -5e-11
     dusty = (vecs * (vals / vals.sum())) @ vecs.conj().T
-    states = [
-        BatteryState.from_matrix(random_density_matrix(rng, 5)),
-        BatteryState.from_matrix(random_density_matrix(rng, 5), clip=1e-8),
-        BatteryState.from_matrix(dusty, clip=1e-8),
-    ]
+    states = [BatteryState.from_matrix(m)
+              for m in (random_density_matrix(rng, 5), random_density_matrix(rng, 5), dusty)]
     # halving the coherences mixes the state with its diagonal: still a
     # state, with the same populations and another spectrum
     rebuilt = [BatteryState.from_matrix(0.5 * (state.matrix + np.diag(state.populations))) for state in states]
@@ -333,31 +325,3 @@ def test_a_rebuilt_state_never_reads_a_stale_spectrum():
         np.testing.assert_allclose(state.spectrum, np.linalg.eigvalsh(state.matrix), atol=1e-14)
     for state, other in zip(states, rebuilt):
         assert not np.allclose(other.spectrum, state.spectrum)
-
-
-def test_from_matrix_with_clip_diagonalizes_a_general_input_once(linalg_calls):
-    rho = random_density_matrix(np.random.default_rng(13), 6)
-    linalg_calls.clear()
-    state = BatteryState.from_matrix(rho, clip=1e-8)
-    assert linalg_calls == Counter(eigh=1)
-    assert not state.is_diagonal
-    assert state.spectrum.sum() == pytest.approx(1.0, abs=1e-15)
-    np.testing.assert_allclose(state.spectrum, np.linalg.eigvalsh(rho), atol=1e-14)
-    np.testing.assert_allclose(state.matrix, rho, atol=1e-14)
-
-
-def test_from_matrix_with_clip_cleans_a_diagonal_input_without_eigh(linalg_calls):
-    pops = np.array([0.5, 0.3, 0.2 + 2e-9, -2e-9])
-    rho = np.diag(pops).astype(complex)
-    rho[0, 1] = rho[1, 0] = 1e-13  # below DIAG_ATOL
-    state = BatteryState.from_matrix(rho, clip=1e-8)
-    assert linalg_calls == Counter()
-    assert state.is_diagonal
-    expected = np.clip(pops, 0.0, None)
-    np.testing.assert_allclose(state.populations, expected / expected.sum(), rtol=1e-15)
-    # the same threshold and message as the diagonalizing route
-    for off in (0.0, 1e-3):
-        bad = np.diag([0.5, 0.5 + 1e-6, -1e-6]).astype(complex)
-        bad[0, 1] = bad[1, 0] = off
-        with pytest.raises(ValueError, match=r"eigenvalue -1\.0\d\de-06 below the -1e-08 clipping threshold"):
-            BatteryState.from_matrix(bad, clip=1e-8)
