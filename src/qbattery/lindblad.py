@@ -43,16 +43,18 @@ thread count. The dense right-hand side, the dense qubit projection and
 the exact exponential of the whole generator are oracles in
 ``qbattery.validate``.
 
-The same symmetry makes the positivity check cheap where it matters.
-A state whose only occupied gap is 0 (every power-on and power-off
-round) is block-diagonal in the excitation number: |g, 0> and |e, N>
-stand alone and each |g, k> pairs with |e, k-1>, so its lowest
-eigenvalue is the smallest of N+2 closed forms, O(N). Wider supports
-(a coherent charger, a battery with coherences) keep the Cholesky
-factor of the whole joint state that ``states._psd_violation`` also
-runs for every general ``BatteryState``; a NaN fails both routes. Both
-report a violation the same way, and only a violation is diagonalized
-(``eigvalsh``, to word the warning).
+The joint state is held to the tolerances of a ``BatteryState``:
+``states.HERM_ATOL`` for Hermiticity, ``INPUT_SUM_ATOL`` for the trace
+and ``PSD_ATOL`` for positivity. The same symmetry makes the positivity
+check cheap where it matters. A state whose only occupied gap is 0
+(every power-on and power-off round) is block-diagonal in the excitation
+number: |g, 0> and |e, N> stand alone and each |g, k> pairs with
+|e, k-1>, so its lowest eigenvalue is the smallest of N+2 closed forms,
+O(N). Wider supports (a coherent charger, a battery with coherences)
+keep the Cholesky factor of the whole joint state that
+``states._psd_violation`` also runs for every general ``BatteryState``;
+a NaN fails both routes. Both report a violation the same way, and only
+a violation is diagonalized (``eigvalsh``, to word the warning).
 """
 
 from __future__ import annotations
@@ -73,12 +75,10 @@ from .propagator import ZERO_PROBABILITY_ATOL, ZeroProbabilityError, _check_inte
 from .rounds import RoundRecord, _scheme_charger
 from .scheduler import DAMPED_POLICIES, Trajectory, _drive, _interval_chooser
 from .states import (
-    BatteryState, ChargerSpec, SettingError, SystemParams, _psd_violation, mean_occupation, thermal_state,
+    HERM_ATOL, INPUT_SUM_ATOL, PSD_ATOL, BatteryState, ChargerSpec, SettingError, SystemParams, _psd_violation,
+    mean_occupation, thermal_state,
 )
 
-HERMITICITY_ATOL = 1e-10
-TRACE_ATOL = 1e-8
-POSITIVITY_ATOL = 1e-8
 # theta_m of Al-Mohy & Higham (2011), Table 3.1, for the unit roundoff
 # 2^-53: a Taylor step of degree m and length h meets it in backward
 # error while ||h (G - mu I)||_1 <= theta_m
@@ -217,16 +217,6 @@ def _restricted(terms: tuple[tuple, ...], support: np.ndarray) -> sparse.csr_mat
     )
 
 
-@functools.lru_cache(maxsize=4)
-def _excitation_gaps(dim: int) -> np.ndarray:
-    """k_row - k_col of every joint element, raveled and read-only because
-    every round on the same ladder shares it; |i, n> carries i + n."""
-    k = np.add.outer(np.arange(2), np.arange(dim)).ravel()
-    gaps = np.subtract.outer(k, k).ravel()
-    gaps.flags.writeable = False
-    return gaps
-
-
 class _Band(NamedTuple):
     """A support of whole excitation-gap bands, closed under transposition,
     with the generator restricted to it."""
@@ -247,7 +237,8 @@ def _band(params: SystemParams, diss: DissipationParams, gaps: tuple[int, ...]) 
     diss, gaps); every array is read-only because every round on the
     same support shares them."""
     n = 2 * params.dim
-    index = np.flatnonzero(np.isin(_excitation_gaps(params.dim), gaps))
+    k = np.add.outer(np.arange(2), np.arange(params.dim)).ravel()  # |i, n> carries k = i + n
+    index = np.flatnonzero(np.isin(np.subtract.outer(k, k), gaps))
     row, col = np.divmod(index, n)
     partner = np.searchsorted(index, col * n + row)
     generator = _restricted(_liouvillian(params, diss), index)
@@ -271,17 +262,6 @@ def _sector_lowest_eigenvalue(rho: np.ndarray, dim: int) -> float:
     b = rho.diagonal(dim - 1)[1:dim]  # <g, k| rho |e, k-1>
     pairs = 0.5 * (a + d) - np.hypot(0.5 * (a - d), np.abs(b))
     return float(np.min((diag[0], diag[-1], pairs.min())))  # NaN-propagating, unlike min()
-
-
-def _positivity_violation(rho: np.ndarray, dim: int, sector: bool) -> float | None:
-    """The lowest eigenvalue of ``rho`` when it lies below
-    -POSITIVITY_ATOL or is NaN, else None; ``sector`` says that only gap-0
-    elements are occupied, so the blocks of ``_sector_lowest_eigenvalue``
-    decide, and otherwise the Cholesky test of ``_psd_violation`` does."""
-    if sector:
-        lo = _sector_lowest_eigenvalue(rho, dim)
-        return lo if not lo >= -POSITIVITY_ATOL else None
-    return _psd_violation(rho, POSITIVITY_ATOL)
 
 
 def _taylor_steps(norm: float) -> tuple[int, int]:
@@ -349,9 +329,10 @@ def integrate(
 
     Every call measures the Hermiticity and trace drifts on the solved
     vector, which is then re-symmetrized and scattered once into the
-    result; drifts in Hermiticity, trace, or positivity beyond their
-    tolerances raise a warning rather than an error, since they signal
-    an unphysical input, not a wrong model. Positivity is checked per
+    result. Drifts beyond a ``BatteryState``'s tolerances (``HERM_ATOL``,
+    ``INPUT_SUM_ATOL`` for the trace, an eigenvalue below -``PSD_ATOL``)
+    raise a warning rather than an error, since they signal an
+    unphysical input, not a wrong model. Positivity is checked per
     excitation block when gap 0 is the only occupied gap, else by a
     Cholesky factor. ``tau`` must be finite and >= 0.
     """
@@ -368,7 +349,10 @@ def integrate(
     nonzero = (flat0.view(float) != 0).view(np.uint16) != 0
     if not nonzero.any():
         raise ValueError("the joint state has no occupied element")
-    occupied = np.unique(_excitation_gaps(params.dim)[nonzero])
+    # |i, n> carries k = i + n, so the gaps k_row - k_col run from -dim to dim
+    k = np.add.outer(np.arange(2), np.arange(params.dim)).ravel()
+    row, col = np.divmod(np.flatnonzero(nonzero), expected)
+    occupied = np.flatnonzero(np.bincount(k[row] - k[col] + params.dim)) - params.dim
     band = _band(params, diss, tuple(np.union1d(occupied, -occupied).tolist()))
     sol = solve_ivp(lambda t, y: band.generator @ y, (0.0, tau), flat0[band.index],
                     method=_TaylorAction, shift=band.shift, norm=band.norm)
@@ -380,17 +364,21 @@ def integrate(
     y = sol.y[:, -1]
     transposed = y[band.partner].conj()
     herm = np.abs(y - transposed).max()
-    if not herm <= HERMITICITY_ATOL:
-        warnings.warn(f"Hermiticity drift {herm:.2e} exceeds {HERMITICITY_ATOL}")
+    if not herm <= HERM_ATOL:
+        warnings.warn(f"Hermiticity drift {herm:.2e} exceeds {HERM_ATOL}")
     tr = abs(y[band.diag].real.sum() - 1.0)
-    if not tr <= TRACE_ATOL:
-        warnings.warn(f"trace drift {tr:.2e} exceeds {TRACE_ATOL}")
+    if not tr <= INPUT_SUM_ATOL:
+        warnings.warn(f"trace drift {tr:.2e} exceeds {INPUT_SUM_ATOL}")
     rho = np.zeros(flat0.size, dtype=complex)
     rho[band.index] = 0.5 * (y + transposed)
     rho = rho.reshape(expected, expected)
-    lo = _positivity_violation(rho, params.dim, np.array_equal(occupied, [0]))
+    if np.array_equal(occupied, [0]):
+        lo = _sector_lowest_eigenvalue(rho, params.dim)
+        lo = None if lo >= -PSD_ATOL else lo  # NaN stays a violation
+    else:
+        lo = _psd_violation(rho, PSD_ATOL)
     if lo is not None:
-        warnings.warn(f"positivity violation {lo:.2e} beyond {POSITIVITY_ATOL}")
+        warnings.warn(f"positivity violation {lo:.2e} beyond {PSD_ATOL}")
     return rho
 
 

@@ -81,11 +81,16 @@ def _kind(scheme: str) -> str:
     return _NAMED_SCHEMES[scheme].kind
 
 
+def _check_ladder(state: BatteryState, params: SystemParams) -> None:
+    """Raise ValueError unless ``state`` lives on the ladder of ``params``."""
+    if state.populations.size != params.dim:
+        raise ValueError("state and params disagree on the ladder size")
+
+
 def _named_round(state: BatteryState, params: SystemParams, tau: float, scheme: str) -> RoundRecord:
     if not state.is_diagonal:
         raise ValueError(f"{scheme}_round requires a diagonal state")
-    if state.populations.size != params.dim:
-        raise ValueError("state and params disagree on the ladder size")
+    _check_ladder(state, params)
     kind = _kind(scheme)
     out = _diagonal_map(kind, _map_weights(params, tau, kind), state.populations)
     prob = float(out.sum())
@@ -156,8 +161,7 @@ def general_round(
     rho_c, the same as evolving the joint state, projecting the qubit and
     tracing it out; the probability is its trace.
     """
-    if state.populations.size != params.dim:
-        raise ValueError("state and params disagree on the ladder size")
+    _check_ladder(state, params)
     m = _measured_kraus(charger.measured_state(), params, tau)
     rho = state.matrix
     applied = [_band_product(mi, rho) for mi in m]

@@ -30,7 +30,8 @@ import numpy as np
 
 from .propagator import (ZeroProbabilityError, _check_interval, _kind_ladder, _ladder_weights, _map_weights,
                          _shifted)
-from .rounds import RoundRecord, _kind, _scheme_charger, general_round, power_off_round, power_on_round
+from .rounds import (RoundRecord, _check_ladder, _kind, _scheme_charger, general_round, power_off_round,
+                     power_on_round)
 from .states import BatteryState, ChargerSpec, SettingError, SystemParams, mean_occupation
 from .thermo import energy, snapshot
 
@@ -181,6 +182,7 @@ def round_probability(
     A 1-D array of intervals gives one probability per interval.
     """
     kind = _kind(scheme)
+    _check_ladder(state, params)
     _check_interval(tau)
     prob = _scores(params, kind, _kind_ladder(params, kind), _shifted(kind, state.populations), tau)
     return float(prob) if prob.ndim == 0 else prob
@@ -213,6 +215,7 @@ def tau_opt_numeric(
     neighboring grid points.
     """
     kind = _kind(scheme)
+    _check_ladder(state, params)
     shifted = _shifted(kind, state.populations)
     taus, prob = _tau_grid(params, kind, tau_max, grid_points, shifted)
     return _refine(params, kind, shifted, taus, int(prob.argmax()))
@@ -234,6 +237,7 @@ def power_off_objective(
     1-D array of intervals gives one value per interval.
     """
     kind = _kind("power_off")
+    _check_ladder(state, params)
     _check_interval(tau)
     ladder, shifted = _kind_ladder(params, kind), _shifted(kind, state.populations)
     score = _compromise(state, cumulative_p, x, objective)
@@ -312,6 +316,7 @@ def tau_opt_power_off(
     happens once the distribution is too narrow for any downward-shifted
     reweighting to raise the mean.
     """
+    _check_ladder(state, params)
     if mean_occupation(state) <= 0.0:
         raise NoChargingError("state has no excited population to work with")
     score = _compromise(state, cumulative_p, x, objective)
@@ -564,6 +569,7 @@ def _drive(initial: BatteryState, params: SystemParams, scheme: str, n_rounds: i
     outcome or a power-off stall truncates the trajectory, flagged with
     the failing round; if round 1 fails, ``no_rounds_error`` is raised.
     """
+    _check_ladder(initial, params)
     state = initial
     records: list[RoundRecord] = []
     cumulative = 1.0

@@ -18,6 +18,7 @@ from qbattery import (
     run_protocol,
     thermal_state,
 )
+from qbattery.states import PSD_ATOL, _psd_violation
 from qbattery.validate import (
     _rhs_factory,
     check_gamma_zero_reduction,
@@ -460,8 +461,8 @@ def test_cached_band_maps_are_read_only_and_index_the_transpose_and_diagonal(gap
     band = lindblad._band(SMALL, DAMPED, gaps)
     n = 2 * SMALL.dim
     row, col = np.divmod(band.index, n)
-    gap = lindblad._excitation_gaps(SMALL.dim)
-    np.testing.assert_array_equal(band.index, np.flatnonzero(np.isin(gap, gaps)))
+    k = np.add.outer(np.arange(2), np.arange(SMALL.dim)).ravel()
+    np.testing.assert_array_equal(band.index, np.flatnonzero(np.isin(np.subtract.outer(k, k), gaps)))
     np.testing.assert_array_equal(band.index[band.partner], col * n + row)
     np.testing.assert_array_equal(band.index[band.diag], np.arange(n) * (n + 1))
     generator = band.generator
@@ -496,7 +497,7 @@ def test_a_non_hermitian_input_warns_of_hermiticity_drift():
 
 def test_an_input_of_trace_one_and_a_half_warns_of_trace_drift():
     rho0 = np.diag(np.full(2 * SMALL.dim, 1.5 / (2 * SMALL.dim))).astype(complex)
-    expected = ["trace drift 5.00e-01 exceeds 1e-08"]
+    expected = ["trace drift 5.00e-01 exceeds 1e-09"]
     assert integrate_warnings(rho0) == integrate_warnings(widened(rho0)) == expected
 
 
@@ -504,11 +505,13 @@ def test_an_input_of_trace_one_and_a_half_warns_of_trace_drift():
 def test_a_nan_element_fails_the_positivity_check(sector, element):
     import qbattery.lindblad as lindblad
 
-    # a 4x4 joint state at N=1; the dense route's Cholesky factor of a
-    # NaN matrix comes back NaN without an error
+    # a 4x4 joint state at N=1, checked by the route integrate takes for
+    # its support; the dense route's Cholesky factor of a NaN matrix
+    # comes back NaN without an error
     rho = np.diag([0.25] * 4).astype(complex)
     rho[element] = rho[element[::-1]] = math.nan
-    assert math.isnan(lindblad._positivity_violation(rho, 2, sector))
+    lo = lindblad._sector_lowest_eigenvalue(rho, 2) if sector else _psd_violation(rho, PSD_ATOL)
+    assert math.isnan(lo)
 
 
 @pytest.mark.parametrize("wide", [False, True])
@@ -527,7 +530,7 @@ def test_a_nan_solution_warns_of_every_drift(monkeypatch, wide):
     monkeypatch.setattr(lindblad, "solve_ivp", nan_solve)
     rho0 = np.diag(np.full(2 * SMALL.dim, 1.0 / (2 * SMALL.dim))).astype(complex)
     assert integrate_warnings(widened(rho0) if wide else rho0) == [
-        "Hermiticity drift nan exceeds 1e-10", "trace drift nan exceeds 1e-08", "positivity violation nan beyond 1e-08",
+        "Hermiticity drift nan exceeds 1e-10", "trace drift nan exceeds 1e-09", "positivity violation nan beyond 1e-10",
     ]
 
 
@@ -557,23 +560,47 @@ def test_integrate_rejects_an_interval_that_is_not_finite_and_nonnegative(tau):
         integrate(random_joint_state(SMALL), tau, SMALL, DAMPED)
 
 
-def test_cached_excitation_gaps_are_read_only():
-    import qbattery.lindblad as lindblad
-
-    gaps = lindblad._excitation_gaps(SMALL.dim)
-    assert gaps is lindblad._excitation_gaps(SMALL.dim)
-    k = np.add.outer(np.arange(2), np.arange(SMALL.dim)).ravel()
-    np.testing.assert_array_equal(gaps, np.subtract.outer(k, k).ravel())
-    with pytest.raises(ValueError, match="read-only"):
-        gaps[0] = 1
-
-
 def sector_state(rng, params):
     """A random joint state whose occupied elements all have excitation gap 0."""
     rho = random_joint_state(params, seed=int(rng.integers(2**32)))
     k = np.add.outer(np.arange(2), np.arange(params.dim)).ravel()
     rho[np.subtract.outer(k, k) != 0] = 0.0
     return rho / np.trace(rho).real
+
+
+def gap_state(rng, params, gaps):
+    """A random joint state whose occupied elements have the excitation
+    gaps ``gaps``, made positive by a dominant diagonal."""
+    rho = random_joint_state(params, seed=int(rng.integers(2**32)))
+    k = np.add.outer(np.arange(2), np.arange(params.dim)).ravel()
+    rho[~np.isin(np.subtract.outer(k, k), gaps)] = 0.0
+    rho += np.abs(rho).sum(axis=1).max() * np.eye(rho.shape[0])
+    return rho / np.trace(rho).real
+
+
+def test_integrate_derives_the_occupied_gaps_of_the_full_gap_map(monkeypatch):
+    # the gaps that integrate reads off the occupied elements, and the
+    # band index built from them, against k_row - k_col of every element
+    import qbattery.lindblad as lindblad
+
+    requested = []
+    band = lindblad._band
+    monkeypatch.setattr(lindblad, "_band", lambda *args: requested.append(args[2]) or band(*args))
+    rng = np.random.default_rng(27)
+    for n_levels in (1, 2, 10, 40):
+        params = SystemParams(n_levels=n_levels, g=0.04, delta=0.02, beta=0.1)
+        k = np.add.outer(np.arange(2), np.arange(params.dim)).ravel()
+        gap_map = np.subtract.outer(k, k)
+        for _ in range(3):
+            wide = int(rng.integers(1, params.dim + 1))
+            for rho0 in (sector_state(rng, params), gap_state(rng, params, (-wide, 0, wide)),
+                         random_joint_state(params, seed=int(rng.integers(2**32)))):
+                integrate(rho0, 1.0, params, DAMPED)
+                occupied = np.unique(gap_map[rho0 != 0])
+                gaps = tuple(np.union1d(occupied, -occupied).tolist())
+                assert requested[-1] == gaps
+                index = band(params, DAMPED, gaps).index
+                np.testing.assert_array_equal(index, np.flatnonzero(np.isin(gap_map, gaps)))
 
 
 def test_sector_lowest_eigenvalue_matches_the_dense_spectrum():
@@ -590,13 +617,13 @@ def test_sector_lowest_eigenvalue_matches_the_dense_spectrum():
             assert lo == pytest.approx(np.linalg.eigvalsh(rho).min(), abs=1e-15)
 
 
-def negative_block_state(params):
-    """A gap-0 joint state whose block {|g,3>, |e,2>} has eigenvalue -1e-6."""
+def negative_block_state(params, depth=1e-6):
+    """A gap-0 joint state whose block {|g,3>, |e,2>} has eigenvalue -``depth``."""
     dim = params.dim
     rho = np.zeros((2 * dim, 2 * dim), dtype=complex)
     g3, e2 = 3, dim + 2
     rho[g3, g3] = rho[e2, e2] = 0.05
-    rho[g3, e2] = 0.05 + 1e-6
+    rho[g3, e2] = 0.05 + depth
     rho[e2, g3] = np.conj(rho[g3, e2])
     rest = [i for i in range(2 * dim) if i not in (g3, e2)]
     rho[rest, rest] = 0.9 / len(rest)
@@ -615,7 +642,17 @@ def test_a_negative_excitation_block_warns_like_the_cholesky_route(linalg_calls)
         integrate(rho0, 1e-6, SMALL, NO_DAMPING)
     assert linalg_calls == Counter(cholesky=1, eigvalsh=1)
     messages = [str(w.message) for w in blockwise], [str(w.message) for w in dense]
-    assert messages[0] == messages[1] == ["positivity violation -1.00e-06 beyond 1e-08"]
+    assert messages[0] == messages[1] == ["positivity violation -1.00e-06 beyond 1e-10"]
+
+
+@pytest.mark.parametrize("support", [np.copy, widened], ids=["gap 0", "wide"])
+def test_integrate_warns_of_drifts_that_a_battery_state_rejects(support):
+    # an eigenvalue below -PSD_ATOL and a trace off by more than
+    # INPUT_SUM_ATOL are warned of on either positivity route
+    negative = support(negative_block_state(SMALL, depth=1e-9))
+    assert integrate_warnings(negative) == ["positivity violation -1.00e-09 beyond 1e-10"]
+    heavy = np.diag(np.full(2 * SMALL.dim, (1.0 + 5e-9) / (2 * SMALL.dim))).astype(complex)
+    assert integrate_warnings(support(heavy)) == ["trace drift 5.00e-09 exceeds 1e-09"]
 
 
 COHERENT = ChargerSpec(q=0.3, theta=1.2, c=1.0)

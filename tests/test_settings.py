@@ -25,9 +25,11 @@ from qbattery import (
     run_protocol,
     tau_opt_analytic,
     tau_opt_numeric,
+    tau_opt_power_off,
     thermal_state,
 )
 from qbattery.lindblad import DissipationParams, dissipative_protocol, integrate
+from qbattery.scheduler import power_off_objective
 from qbattery.validate import block_oracle_deviation, kraus_set
 
 SMALL = SystemParams(n_levels=8, g=0.04, delta=0.02, beta=0.1)
@@ -35,6 +37,7 @@ NO_DAMPING = DissipationParams(0.0, 0.0, 0.0, 0.0)
 COHERENT = ChargerSpec(q=0.3, theta=1.2, c=1.0)
 STATE = thermal_state(SMALL)
 UNCOUPLED = SystemParams(n_levels=8, g=0.0, delta=0.02, beta=0.1)
+ELSEWHERE = thermal_state(SystemParams(n_levels=5, g=0.04, delta=0.02, beta=0.1))  # on another ladder
 PLUS = BatteryState.from_matrix(np.full((SMALL.dim, SMALL.dim), 1.0 / SMALL.dim))  # a state with coherences
 
 SETTING_MISTAKES = {
@@ -125,6 +128,24 @@ def test_interval_state_and_outcome_errors_are_not_setting_errors(case):
     assert not isinstance(excinfo.value, SettingError)
 
 
+# every entry point that takes a state and params checks their ladder
+# before any work; the closed rounds check it too
+LADDER_MISMATCHES = {
+    "analytic run": lambda: run_protocol(ELSEWHERE, SMALL, "power_on", 2, "analytic"),
+    "fixed general run": lambda: run_protocol(ELSEWHERE, SMALL, "general", 2, "fixed", charger=COHERENT,
+                                              fixed_tau=1.0),
+    "numeric run": lambda: run_protocol(ELSEWHERE, SMALL, "power_on", 2, "numeric"),
+    "compromise run": lambda: run_protocol(ELSEWHERE, SMALL, "power_off", 2, "power_off_compromise"),
+    "damped power-on run": lambda: dissipative_protocol(ELSEWHERE, SMALL, NO_DAMPING, "power_on", 2, "fixed",
+                                                        fixed_tau=1.0),
+    "damped general run": lambda: dissipative_protocol(ELSEWHERE, SMALL, NO_DAMPING, "general", 2, "fixed",
+                                                       charger=COHERENT, fixed_tau=1.0),
+    "round probability": lambda: round_probability(ELSEWHERE, SMALL, "power_on", 1.0),
+    "power-off objective": lambda: power_off_objective(ELSEWHERE, SMALL, 1.0),
+    "numeric interval": lambda: tau_opt_numeric(ELSEWHERE, SMALL),
+    "compromise interval": lambda: tau_opt_power_off(ELSEWHERE, SMALL),
+}
+
 # (error, message, call) for a wrong input that is neither a setting nor
 # an interval value: a shape, a kind of state, a ladder or an index
 INPUT_ERRORS = {
@@ -134,6 +155,8 @@ INPUT_ERRORS = {
                                        lambda: power_on_round(PLUS, SMALL, 1.0)),
     "general round on another ladder": (ValueError, "state and params disagree on the ladder size",
                                         lambda: general_round(fock_state(0, 5), COHERENT, SMALL, 1.0)),
+    **{f"{case} on another ladder": (ValueError, "state and params disagree on the ladder size", call)
+       for case, call in LADDER_MISMATCHES.items()},
     "coherence of a general state": (ValueError, "coherence_population requires a diagonal state",
                                      lambda: coherence_population(PLUS, COHERENT, SMALL, 1.0)),
     "charge and discharge of a general state": (ValueError, "requires a diagonal state",

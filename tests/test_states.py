@@ -1,5 +1,7 @@
 import math
+import re
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -325,3 +327,17 @@ def test_a_rebuilt_state_never_reads_a_stale_spectrum():
         np.testing.assert_allclose(state.spectrum, np.linalg.eigvalsh(state.matrix), atol=1e-14)
     for state, other in zip(states, rebuilt):
         assert not np.allclose(other.spectrum, state.spectrum)
+
+
+def test_the_runtime_checks_table_gives_each_tolerance_its_value():
+    # docs/outputs.md's table fails here when a constant moves without it
+    import qbattery.propagator as propagator
+    import qbattery.states as states
+
+    docs = (Path(__file__).resolve().parents[1] / "docs" / "outputs.md").read_text()
+    rows = re.findall(r"^\| `(\w+)` \| (\S+) \|", docs.split("## Runtime checks")[1], flags=re.M)
+    assert [name for name, _ in rows] == [
+        "HERM_ATOL", "PSD_ATOL", "INPUT_SUM_ATOL", "SUM_ATOL", "NEGATIVE_DUST", "DIAG_ATOL", "ZERO_PROBABILITY_ATOL",
+    ]
+    for name, value in rows:
+        assert float(value) == getattr(propagator if name == "ZERO_PROBABILITY_ATOL" else states, name), name
